@@ -22,7 +22,6 @@ from .cnotgate import NoiseModel, noisy_cnot, postselect_cnot
 from .optics import HWP, WaveplateSetting, waveplate
 from .qcore import (
     DensityMatrix,
-    Operator,
     PAULI_X,
     PureState,
     apply_to_pure,
@@ -176,7 +175,3 @@ def parity_extend(psi: PureState, n: int) -> PureState:
         amps[idx] = (a if bin(idx).count("1") % 2 == 0 else b) * scale
     return PureState(n, amps)
 
-
-def encoded_x(num_qubits: int) -> Operator:
-    """Logical X on a parity-code register: X on the first physical qubit."""
-    return Operator(2**num_qubits, single_qubit_operator(PAULI_X, 1, num_qubits))

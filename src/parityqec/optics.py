@@ -170,8 +170,6 @@ KET_A = PureState(1, [1.0, -1.0])
 KET_L = PureState(1, [1.0, 1.0j])
 KET_R = PureState(1, [1.0, -1.0j])
 
-PAULI_LABELS = ("H", "V", "D", "A", "R", "L")
-
 PAULI_EIGENSTATES = {
     "H": KET_H,
     "V": KET_V,

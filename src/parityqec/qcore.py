@@ -42,6 +42,20 @@ def _as_complex_array(values, copy: bool = True) -> np.ndarray:
     return arr
 
 
+def _check_density(mats: np.ndarray) -> None:
+    """Raise ValueError unless every trailing (d, d) matrix is a density matrix.
+
+    Hermitian, unit trace and no eigenvalue below EIGENVALUE_FLOOR, within the
+    shared tolerances; a stack of matrices takes one batched eigvalsh.
+    """
+    if np.abs(mats - mats.conj().swapaxes(-1, -2)).max() > HERMITIAN_ATOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    if np.abs(mats.diagonal(0, -2, -1).sum(-1) - 1.0).max() > TRACE_ATOL:
+        raise ValueError("matrix trace differs from 1 beyond tolerance")
+    if np.linalg.eigvalsh(mats).min() < EIGENVALUE_FLOOR:
+        raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector over 2^num_qubits basis states."""
@@ -83,12 +97,7 @@ class DensityMatrix:
         mat = _as_complex_array(self.matrix)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat) - 1.0) > TRACE_ATOL:
-            raise ValueError("matrix trace differs from 1 beyond tolerance")
-        if np.min(np.linalg.eigvalsh(mat)) < EIGENVALUE_FLOOR:
-            raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+        _check_density(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

@@ -54,6 +54,9 @@ from .qcore import DensityMatrix, HermitianMatrix
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 PROB_LOG_FLOOR = 1e-12
+# relative rounding floor of the duality gap and of a restart's gain, per
+# count: about 1e-15 N nats for N total counts
+_GAP_ROUNDING = 1e-15
 
 _PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -278,8 +281,10 @@ def mle(
     - tol: bound in nats on the Frank-Wolfe duality gap lambda_max(G) - N,
       with G = sum_k n_k T_k / p_k. The objective is concave in sigma, so the
       gap bounds how far the log-likelihood is below its maximum. Rounding
-      puts a floor of about 1e-15 * N under the computed gap, so count totals
-      N far above 1e8 need a larger tol.
+      puts a floor of about 1e-15 * N under the computed gap, so count
+      totals N far above 1e8 need a larger tol. Restarts end once one gains
+      less than that floor, with converged=False if the gap is still above
+      tol.
     - iterations: accepted L-BFGS steps over all restarts, at most max_iter;
       0 when the warm start already meets tol.
     - converged: whether the gap of the returned state is at most tol. It is
@@ -325,9 +330,12 @@ def mle(
             break
         base = trajectory[-1]
         trajectory += [base + gain for _, gain, _ in steps]
-        x, _, gap = steps[-1]
+        x, gain, gap = steps[-1]
         iterations += len(steps)
         converged = gap <= tol
+        if gain < _GAP_ROUNDING * n.sum():
+            # the restart is lost in rounding: a tol below the floor cannot be met
+            break
 
     t = _unfactor(x)
     rho = s_inv_half @ (t @ t.conj().T) @ s_inv_half

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parityqec.cli import (
     DEFAULT_TARGETS,
@@ -21,6 +23,8 @@ from parityqec.cli import (
 from parityqec.cnotgate import NoiseModel
 from parityqec.measure import read_count_records
 from parityqec.qcore import load_density_matrix
+
+from oracles import per_cell_pipeline_means
 
 
 def _dir_digest(root: Path) -> dict[str, str]:
@@ -225,10 +229,30 @@ class TestCalibration:
         assert any("budget" in w for w in result.warnings)
 
     def test_ideal_pipeline_means_are_unity(self):
-        assert exact_pipeline_means(None) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+        assert exact_pipeline_means(None) == (1.0, 1.0, 1.0)
+        assert exact_pipeline_means(NoiseModel.ideal()) == (1.0, 1.0, 1.0)
 
     def test_default_targets_constant(self):
         assert DEFAULT_TARGETS == (0.88, 0.93, 0.96)
+
+
+class TestExactPipeline:
+    @pytest.mark.parametrize(
+        "visibilities", [None] + [tuple(float(b) for b in f"{k:03b}") for k in range(8)]
+    )
+    def test_matches_the_per_cell_oracle_at_the_corners(self, visibilities):
+        noise = None if visibilities is None else NoiseModel(*visibilities)
+        np.testing.assert_allclose(
+            exact_pipeline_means(noise), per_cell_pipeline_means(noise), rtol=0, atol=1e-12
+        )
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.tuples(*[st.floats(0.0, 1.0)] * 3))
+    def test_matches_the_per_cell_oracle(self, visibilities):
+        noise = NoiseModel(*visibilities)
+        np.testing.assert_allclose(
+            exact_pipeline_means(noise), per_cell_pipeline_means(noise), rtol=0, atol=1e-12
+        )
 
 
 class TestMain:
@@ -242,6 +266,21 @@ class TestMain:
         code = main(["fig2", "--noise", "0.9,0.8", "--out", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
+        code = main(["table1", "--config", str(tmp_path / "absent.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "absent.json" in err
+
+    def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["table1", "--out", str(blocker / "results")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parityqec.cnotgate import (
     CONTROL_MODES,
@@ -23,6 +25,7 @@ from parityqec.qcore import DensityMatrix, PureState, fidelity, kron, pure_state
 from oracles import (
     bosonic_coincidence_map,
     bosonic_total_probability,
+    branch_sum_noisy_cnot,
     distinguishable_coincidence_probs,
 )
 
@@ -233,3 +236,35 @@ class TestNoisyCnot:
             _, out = noisy_cnot(psi.density(), noise)
             fids.append(fidelity(out, ideal_out))
         assert np.argmax(fids) == list(angles).index(45.0)
+
+
+visibilities = st.tuples(*[st.floats(0.0, 1.0)] * 3).map(lambda v: NoiseModel(*v))
+
+
+@st.composite
+def two_qubit_inputs(draw):
+    """A random 2-qubit density matrix of any rank, G G^dag / Tr."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+    g = (np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4)
+    trace = np.real(np.trace(g @ g.conj().T))
+    if trace < 1e-3:
+        g = g + np.eye(4)
+        trace = np.real(np.trace(g @ g.conj().T))
+    return DensityMatrix(2, g @ g.conj().T / trace)
+
+
+class TestNoisyCnotProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(noise=visibilities, rho=two_qubit_inputs())
+    def test_contraction_equals_branch_sum(self, noise, rho):
+        prob, out = noisy_cnot(rho, noise)
+        oracle_prob, oracle_out = branch_sum_noisy_cnot(rho.matrix, noise)
+        assert abs(prob - oracle_prob) <= 1e-12
+        np.testing.assert_allclose(out.matrix, oracle_out, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(noise=visibilities, rho=two_qubit_inputs())
+    def test_success_probability_and_positivity(self, noise, rho):
+        prob, out = noisy_cnot(rho, noise)
+        assert 1.0 / 9.0 - 1e-12 <= prob <= 5.0 / 9.0 + 1e-12
+        assert np.min(np.linalg.eigvalsh(out.matrix)) >= -1e-12

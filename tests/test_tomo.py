@@ -12,6 +12,7 @@ from parityqec.measure import (
     tomo_settings,
 )
 from parityqec.qcore import DensityMatrix, PureState, fidelity, pure_state, trace_distance
+from parityqec import tomo
 from parityqec.tomo import TomographyResult, linear_inversion, mle
 
 BELL = pure_state([1, 0, 0, 1])
@@ -134,6 +135,26 @@ class TestMle:
         result = mle(counts, max_iter=3)
         assert isinstance(result, TomographyResult)
         assert result.iterations <= 3
+
+    def test_sub_floor_tol_fails_fast(self, monkeypatch):
+        # at 1e6 shots per setting the gap's rounding floor is about
+        # 1e-15 * 1.6e7 = 1.6e-8 nats, so tol = 1e-13 cannot be certified
+        restarts = []
+        ascend = tomo._ascend
+
+        def counted(*args, **kwargs):
+            restarts.append(None)
+            return ascend(*args, **kwargs)
+
+        monkeypatch.setattr(tomo, "_ascend", counted)
+        rng = np.random.default_rng(5)
+        psi = random_pure(2, rng)
+        counts = simulate_counts(psi.density(), tomo_settings(2, MINIMAL), 10**6, seed=1)
+        result = mle(counts, tol=1e-13)
+        assert not result.converged
+        assert len(restarts) <= 3
+        assert result.iterations <= tomo.DEFAULT_MAX_ITER // 20
+        assert fidelity(result.rho, psi) >= 0.99
 
     def test_empty_and_all_zero_counts_rejected(self):
         with pytest.raises(ValueError):
