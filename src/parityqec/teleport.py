@@ -7,16 +7,18 @@ failure destroys the payload; on a parity-code register it merely shortens
 the code by one qubit, because the Z outcome is a fair coin whose value only
 toggles the logical bit, fixable by an X correction.
 
-The simulation tracks an actual register state through a width-2 code:
-failed attempts Z-measure code qubits one at a time; a successful attempt
-teleports the payload up to the standard Bell-outcome Pauli frame, which the
-recorded X/Z corrections undo. One bookkeeping convention (documented here,
-asserted by tests): when the last code qubit's attempt fails there is
-nothing left to protect the payload with, and the protocol abandons the
-attempt with the state intact; the recorded terminal z outcome is drawn from
-the qubit's own Z statistics but nothing is collapsed or corrected. In this
-ideal model every branch therefore ends with the payload state unchanged;
-what failure costs is the gate the teleportation was meant to apply.
+The simulation follows a width-2 code: a failed attempt Z-measures a code
+qubit (outcome 0 or 1 with probability 1/2 each, outcome 1 recorded with an
+X correction); a successful attempt teleports the payload up to the standard
+Bell-outcome Pauli frame, which the recorded X/Z corrections undo. One
+bookkeeping convention (documented here, asserted by tests): when the last
+code qubit's attempt fails there is nothing left to protect the payload
+with, and the protocol abandons the attempt with the state intact; the
+recorded terminal z outcome is drawn from the payload's own Z statistics
+(0 with probability |a|^2) but nothing is collapsed or corrected. In this
+ideal model every branch therefore ends with the payload state unchanged,
+so no register is tracked: the final state is the payload's density matrix,
+and what failure costs is the gate the teleportation was meant to apply.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import parity_extend
-from .qcore import DensityMatrix, PureState, conditional_state, single_qubit_operator, PAULI_X, PAULI_Z
+from .qcore import DensityMatrix, PureState, conditional_state
 
 BELL_LABELS = ("00", "01", "10", "11")
 
@@ -96,62 +98,32 @@ def z_outcome_probabilities(psi: PureState) -> tuple[float, float]:
     return p0, p1
 
 
-def _apply_correction(rho: DensityMatrix, label: str) -> DensityMatrix:
-    op = {"X": PAULI_X, "Z": PAULI_Z}[label]
-    full = single_qubit_operator(op, 1, rho.num_qubits)
-    return DensityMatrix(rho.num_qubits, full @ rho.matrix @ full.conj().T)
+def _run(psi: PureState, decide_success, decide_z, decide_bell) -> TeleportOutcome:
+    """Shared trajectory logic; decision callables supply the randomness.
 
-
-def _logical_readout(register: DensityMatrix) -> DensityMatrix:
-    """The 1-qubit logical content of a register (identity on 1 qubit)."""
-    while register.num_qubits > 1:
-        # outcome 0 reads the code without flipping the logical bit
-        _, register = conditional_state(register, 1, 0)
-    return register
-
-
-class _Engine:
-    """Shared trajectory logic; decision callables supply the randomness."""
-
-    def __init__(self, psi: PureState, decide_success, decide_z, decide_bell):
-        self.register = parity_extend(psi, 2).density()
-        self.decide_success = decide_success
-        self.decide_z = decide_z
-        self.decide_bell = decide_bell
-
-    def run(self) -> TeleportOutcome:
-        attempts: list[AttemptRecord] = []
-        corrections: list[str] = []
-        success = False
-        while True:
-            if self.decide_success():
-                bell = self.decide_bell()
-                corrections.extend(BELL_CORRECTIONS[bell])
-                attempts.append(AttemptRecord(True, bell_outcome=bell))
-                success = True
-                break
-            if self.register.num_qubits >= 2:
-                p0, _ = conditional_state(self.register, 1, 0)
-                z = self.decide_z(p0)
-                _, remaining = conditional_state(self.register, 1, z)
-                if z == 1:
-                    remaining = _apply_correction(remaining, "X")
-                    corrections.append("X")
-                attempts.append(AttemptRecord(False, z_outcome=z))
-                self.register = remaining
-            else:
-                # terminal failure: record the readout, abandon the attempt,
-                # leave the state untouched
-                p0 = float(np.real(self.register.matrix[0, 0]))
-                z = self.decide_z(p0)
-                attempts.append(AttemptRecord(False, z_outcome=z))
-                break
-        return TeleportOutcome(
-            attempts=tuple(attempts),
-            corrections_applied=tuple(corrections),
-            final_state=_logical_readout(self.register),
-            overall_success=success,
-        )
+    decide_z gets the probability of z = 0: 1/2 for the first failure, which
+    measures a code qubit, and |a|^2 for the terminal one, which reads the
+    payload itself.
+    """
+    attempts: list[AttemptRecord] = []
+    corrections: list[str] = []
+    for terminal, p0 in ((False, 0.5), (True, abs(psi.amplitudes[0]) ** 2)):
+        if decide_success():
+            bell = decide_bell()
+            corrections.extend(BELL_CORRECTIONS[bell])
+            attempts.append(AttemptRecord(True, bell_outcome=bell))
+            break
+        z = decide_z(p0)
+        attempts.append(AttemptRecord(False, z_outcome=z))
+        # a terminal failure abandons the attempt: nothing is corrected
+        if z == 1 and not terminal:
+            corrections.append("X")
+    return TeleportOutcome(
+        attempts=tuple(attempts),
+        corrections_applied=tuple(corrections),
+        final_state=psi.density(),
+        overall_success=attempts[-1].success,
+    )
 
 
 def simulate_teleport(alpha: complex, beta: complex, n: int, seed: int = 0) -> TeleportOutcome:
@@ -167,13 +139,12 @@ def simulate_teleport(alpha: complex, beta: complex, n: int, seed: int = 0) -> T
     p_success = attempt_success_prob(n)
     psi = PureState(1, [alpha, beta])
     rng = np.random.default_rng(seed)
-    engine = _Engine(
+    return _run(
         psi,
         decide_success=lambda: bool(rng.random() < p_success),
         decide_z=lambda p0: 0 if rng.random() < p0 else 1,
         decide_bell=lambda: BELL_LABELS[rng.integers(4)],
     )
-    return engine.run()
 
 
 def teleport_trajectory(psi: PureState, decisions) -> TeleportOutcome:
@@ -204,7 +175,7 @@ def teleport_trajectory(psi: PureState, decisions) -> TeleportOutcome:
             raise ValueError("expected a success decision")
         return value
 
-    return _Engine(psi, decide_success, decide_z, decide_bell).run()
+    return _run(psi, decide_success, decide_z, decide_bell)
 
 
 def monte_carlo_success(n: int, code_width: int, trials: int, seed: int = 0) -> float:

@@ -49,7 +49,7 @@ from .measure import (
     CountRecord,
     setting_projector,
 )
-from .qcore import DensityMatrix, HermitianMatrix
+from .qcore import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, HermitianMatrix
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
@@ -57,13 +57,6 @@ PROB_LOG_FLOOR = 1e-12
 # relative rounding floor of the duality gap and of a restart's gain, per
 # count: about 1e-15 N nats for N total counts
 _GAP_ROUNDING = 1e-15
-
-_PAULI_1Q = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +82,10 @@ def _hermitian_basis(num_qubits: int) -> np.ndarray:
     """
     dim = 2**num_qubits
     ops = []
-    for combo in product(range(4), repeat=num_qubits):
+    for combo in product((IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z), repeat=num_qubits):
         op = np.array([[1.0 + 0.0j]])
-        for idx in combo:
-            op = np.kron(op, _PAULI_1Q[idx])
+        for pauli in combo:
+            op = np.kron(op, pauli)
         ops.append(op / np.sqrt(dim))
     basis = np.stack(ops)
     basis.flags.writeable = False
