@@ -632,7 +632,7 @@ def calibrate_noise(
             break
 
     warnings = ["search budget exhausted; returning best model found"] if exhausted else []
-    noise = NoiseModel(*(float(v) for v in best.x))
+    noise = NoiseModel(*best.x.tolist())
     achieved = exact_pipeline_means(noise)
     residuals = tuple(float(abs(a - t)) for a, t in zip(achieved, target_arr))
     if max(residuals) > CALIBRATION_TOLERANCE:

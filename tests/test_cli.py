@@ -272,11 +272,7 @@ class TestCalibrationFit:
     @given(st.tuples(*[st.floats(0.5, 1.0)] * 3))
     def test_recovers_the_visibilities(self, visibilities):
         result = calibrate_noise(exact_pipeline_means(NoiseModel(*visibilities)))
-        fitted = (
-            result.noise.v_nonclassical,
-            result.noise.v_classical_control,
-            result.noise.v_classical_target,
-        )
+        fitted = list(result.noise.to_dict().values())
         np.testing.assert_allclose(fitted, visibilities, rtol=0, atol=1e-9)
 
 
