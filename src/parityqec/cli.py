@@ -33,14 +33,7 @@ from scipy.optimize import least_squares
 
 from . import __version__
 from .cnotgate import NoiseModel, _noisy_cnot_batch
-from .codec import (
-    _CONTROL_PLUS,
-    PROVENANCE_RECONSTRUCTED,
-    EncodedState,
-    decode,
-    encode,
-    ideal_encoded,
-)
+from .codec import _CONTROL_PLUS, _decode_batch, ideal_encoded
 from .measure import (
     MINIMAL,
     OVERCOMPLETE,
@@ -51,9 +44,7 @@ from .measure import (
 )
 from .optics import PHI_FAMILY, THETA_FAMILY, prepare_input
 from .qcore import (
-    PROB_FLOOR,
     DensityMatrix,
-    ImpossibleOutcomeError,
     PureState,
     _check_density,
     fidelity,
@@ -161,20 +152,6 @@ def _cell_seed(base: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _sweep_inputs() -> list[tuple[str, str, float, PureState]]:
-    cells = []
-    for family in (THETA_FAMILY, PHI_FAMILY):
-        for angle in SWEEP_ANGLES:
-            prepared = prepare_input(family, angle)
-            cells.append((f"{family}{angle}", family, float(angle), prepared.state))
-    return cells
-
-
-def _decode_reconstruction(rho: DensityMatrix, label: str, qubit: int, outcome: int):
-    wrapped = EncodedState(rho, PROVENANCE_RECONSTRUCTED, label)
-    return decode(wrapped, qubit, outcome, correct=True)
-
-
 def _mean_sd(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -253,21 +230,53 @@ def _bar_chart_svg(title: str, labels: list[str], values: list[float]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _encode_cell(psi: PureState, noise: NoiseModel | None):
-    return encode(psi, gate="ideal" if noise is None else noise)
+@lru_cache(maxsize=None)
+def _pipeline_inputs() -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The 6 reference then the 16 sweep inputs that every experiment encodes.
+
+    Returns (cells, payload amplitudes (22, 2), encoder input states
+    (22, 4, 4), ideal code amplitudes (22, 4)). cells holds one (label,
+    family, angle, payload) per input; a reference input has family
+    "reference" and angle None. The arrays are read-only.
+    """
+    cells = [(label, "reference", None, psi) for label, psi in REFERENCE_INPUTS]
+    for family in (THETA_FAMILY, PHI_FAMILY):
+        for angle in SWEEP_ANGLES:
+            psi = prepare_input(family, angle).state
+            cells.append((f"{family}{angle}", family, float(angle), psi))
+    payloads = [psi for *_, psi in cells]
+    arrays = (
+        np.stack([psi.amplitudes for psi in payloads]),
+        np.stack([kron(_CONTROL_PLUS, psi).density().matrix for psi in payloads]),
+        np.stack([ideal_encoded(psi).amplitudes for psi in payloads]),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (tuple(cells), *arrays)
+
+
+def _encode_all(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
+    """Encode all 22 pipeline inputs in one batched contraction of the gate.
+
+    The payload enters the target port with the control in |+>; None is the
+    ideal gate (all visibilities 1). Returns (coincidence probabilities (22,),
+    encoded states (22, 4, 4)), validated as density matrices in one check.
+    """
+    _, _, inputs, _ = _pipeline_inputs()
+    probs, encoded = _noisy_cnot_batch(inputs, NoiseModel.ideal() if noise is None else noise)
+    _check_density(encoded)
+    return probs, encoded
 
 
 def run_table1(config: RunConfig) -> dict:
     """Encoder truth table: success probability and fidelity per input."""
-    noise = config.resolved_noise()
+    probs, encoded = _encode_all(config.resolved_noise())
     rows = []
     out = config.out_dir
-    for label, psi in REFERENCE_INPUTS:
-        prob, encoded = _encode_cell(psi, noise)
-        target = ideal_encoded(psi)
-        fid = fidelity(encoded.state, target)
-        rows.append((label, prob, fid))
-        save_density_matrix(encoded.state, _prepared(out / "table1_states" / f"{label}.json"))
+    for idx, (label, psi) in enumerate(REFERENCE_INPUTS):
+        state = DensityMatrix(2, encoded[idx])
+        rows.append((label, float(probs[idx]), fidelity(state, ideal_encoded(psi))))
+        save_density_matrix(state, _prepared(out / "table1_states" / f"{label}.json"))
     lines = _header_lines(config) + ["", "encoder outputs (success probability, fidelity vs ideal code):"]
     lines += [f"  {label}: p={p:.6f} F={f:.6f}" for label, p, f in rows]
     _write_csv(out / "table1.csv", ("input", "success_prob", "fidelity"), rows)
@@ -276,24 +285,23 @@ def run_table1(config: RunConfig) -> dict:
 
 
 def _fig2_cells(config: RunConfig) -> list[dict]:
-    """Encode, count, and reconstruct each reference input."""
-    noise = config.resolved_noise()
+    """Count and reconstruct the encoded state of each reference input."""
+    probs, encoded = _encode_all(config.resolved_noise())
     settings = tomo_settings(2, config.scheme)
     cells = []
     for idx, (label, psi) in enumerate(REFERENCE_INPUTS):
-        prob, encoded = _encode_cell(psi, noise)
+        state = DensityMatrix(2, encoded[idx])
         if config.exact:
-            counts = expected_counts(encoded.state, settings, config.shots)
+            counts = expected_counts(state, settings, config.shots)
         else:
-            counts = simulate_counts(
-                encoded.state, settings, config.shots, seed=_cell_seed(config.seed, 2, idx)
-            )
+            seed = _cell_seed(config.seed, 2, idx)
+            counts = simulate_counts(state, settings, config.shots, seed=seed)
         result = mle(counts)
         cells.append(
             {
                 "label": label,
                 "input": psi,
-                "success_prob": prob,
+                "success_prob": float(probs[idx]),
                 "counts": counts,
                 "tomography": result,
                 "fidelity": fidelity(result.rho, ideal_encoded(psi)),
@@ -302,10 +310,9 @@ def _fig2_cells(config: RunConfig) -> list[dict]:
     return cells
 
 
-def run_fig2(config: RunConfig, cells: list[dict] | None = None) -> dict:
+def run_fig2(config: RunConfig) -> dict:
     """2-qubit tomography survey of the six encoded reference states."""
-    if cells is None:
-        cells = _fig2_cells(config)
+    cells = _fig2_cells(config)
     out = config.out_dir
     rows = []
     for cell in cells:
@@ -342,22 +349,23 @@ def run_fig2(config: RunConfig, cells: list[dict] | None = None) -> dict:
 def run_fig3(config: RunConfig) -> dict:
     """Decode the fig2 reconstructions by each of the four Z measurements."""
     cells = _fig2_cells(config)
+    probs, decoded = _decode_batch(np.stack([cell["tomography"].rho.matrix for cell in cells]))
     out = config.out_dir
     rows = []
     imag_rows = []
-    for cell in cells:
+    for idx, cell in enumerate(cells):
         label, psi = cell["label"], cell["input"]
         for qubit in (1, 2):
             for outcome in (0, 1):
-                decoded = _decode_reconstruction(cell["tomography"].rho, label, qubit, outcome)
-                fid = fidelity(decoded.state, psi)
-                mean_abs_imag = float(np.mean(np.abs(decoded.state.matrix.imag)))
-                rows.append((label, qubit, outcome, decoded.probability, fid, mean_abs_imag))
+                state = DensityMatrix(1, decoded[idx, qubit - 1, outcome])
+                fid = fidelity(state, psi)
+                mean_abs_imag = float(np.mean(np.abs(state.matrix.imag)))
+                prob = float(probs[idx, qubit - 1, outcome])
+                rows.append((label, qubit, outcome, prob, fid, mean_abs_imag))
                 if label in REAL_INPUT_LABELS:
                     imag_rows.append(mean_abs_imag)
                 save_density_matrix(
-                    decoded.state,
-                    _prepared(out / "fig3_states" / f"{label}_q{qubit}_{outcome}.json"),
+                    state, _prepared(out / "fig3_states" / f"{label}_q{qubit}_{outcome}.json")
                 )
     mean, sd = _mean_sd([row[4] for row in rows])
     imag_mean, imag_sd = _mean_sd(imag_rows)
@@ -391,45 +399,26 @@ def run_fig3(config: RunConfig) -> dict:
     }
 
 
-def _fig4_inputs() -> list[tuple[str, str, float | None, PureState]]:
-    cells = [(label, "reference", None, psi) for label, psi in REFERENCE_INPUTS]
-    cells += _sweep_inputs()
-    return cells
-
-
 def run_fig4(config: RunConfig) -> dict:
     """Direct conditioned 1-qubit tomography across the two input sweeps."""
-    noise = config.resolved_noise()
+    probs, decoded = _decode_batch(_encode_all(config.resolved_noise())[1])
     settings = tomo_settings(1, config.scheme)
     out = config.out_dir
     rows = []
-    for idx, (label, family, angle, psi) in enumerate(_fig4_inputs()):
-        _, encoded = _encode_cell(psi, noise)
+    cells, *_ = _pipeline_inputs()
+    for idx, (label, family, angle, psi) in enumerate(cells):
         for qubit in (1, 2):
             for outcome in (0, 1):
-                decoded = decode(encoded, qubit, outcome, correct=True)
+                state = DensityMatrix(1, decoded[idx, qubit - 1, outcome])
                 if config.exact:
-                    counts = expected_counts(decoded.state, settings, config.shots)
+                    counts = expected_counts(state, settings, config.shots)
                 else:
-                    counts = simulate_counts(
-                        decoded.state,
-                        settings,
-                        config.shots,
-                        seed=_cell_seed(config.seed, 4, idx, qubit, outcome),
-                    )
-                result = mle(counts)
-                fid = fidelity(result.rho, psi)
-                rows.append(
-                    (
-                        label,
-                        family,
-                        "" if angle is None else angle,
-                        qubit,
-                        outcome,
-                        decoded.probability,
-                        fid,
-                    )
-                )
+                    seed = _cell_seed(config.seed, 4, idx, qubit, outcome)
+                    counts = simulate_counts(state, settings, config.shots, seed=seed)
+                fid = fidelity(mle(counts).rho, psi)
+                prob = float(probs[idx, qubit - 1, outcome])
+                angle_field = "" if angle is None else angle
+                rows.append((label, family, angle_field, qubit, outcome, prob, fid))
     sweep_fids = [r[6] for r in rows if r[1] != "reference"]
     mean, sd = _mean_sd(sweep_fids)
     full_mean, _ = _mean_sd([r[6] for r in rows])
@@ -517,24 +506,6 @@ class CalibrationResult:
         return max(self.residuals) <= CALIBRATION_TOLERANCE
 
 
-@lru_cache(maxsize=None)
-def _pipeline_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 6 reference then 16 sweep payloads, stacked for exact_pipeline_means.
-
-    Returns (payload amplitudes (22, 2), encoder input states (22, 4, 4),
-    ideal code amplitudes (22, 4)), read-only.
-    """
-    payloads = [psi for _, psi in REFERENCE_INPUTS] + [psi for *_, psi in _sweep_inputs()]
-    arrays = (
-        np.stack([psi.amplitudes for psi in payloads]),
-        np.stack([kron(_CONTROL_PLUS, psi).density().matrix for psi in payloads]),
-        np.stack([ideal_encoded(psi).amplitudes for psi in payloads]),
-    )
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 def exact_pipeline_means(noise: NoiseModel | None) -> tuple[float, float, float]:
     """The three pipeline mean fidelities in the infinite-statistics limit.
 
@@ -543,34 +514,13 @@ def exact_pipeline_means(noise: NoiseModel | None) -> tuple[float, float, float]
     reference inputs, decoded fidelity over their four Z decodings, and
     decoded fidelity over the two 8-angle input sweeps.
 
-    All 22 inputs go through the noisy gate as one batched contraction of its
-    precomputed trilinear terms (None is the ideal gate, all visibilities 1).
-    Each encoded state, reshaped to (2, 2, 2, 2), holds its four Z decodings
-    as conditional 2x2 blocks: qubit 1 with outcome o is the [o, :, o, :]
-    block, qubit 2 the [:, o, :, o] one, each normalised by its trace (the
-    outcome probability). The X correction after outcome 1 swaps the two
-    amplitudes of the surviving qubit, and every fidelity <psi|rho|psi> is
-    one einsum, clipped to [0, 1]. The 22 encoded and 88 decoded states are
-    validated as density matrices in two batched checks, and an outcome
-    below PROB_FLOOR raises ImpossibleOutcomeError.
+    All 22 inputs are encoded in one batched contraction (_encode_all) and
+    decoded by all four Z measurements at once (codec._decode_batch), and
+    every fidelity <psi|rho|psi> is one einsum, clipped to [0, 1].
     """
-    payloads, inputs, codes = _pipeline_inputs()
-    out = _noisy_cnot_batch(inputs, NoiseModel.ideal() if noise is None else noise)
-    encoded = out / np.real(np.trace(out, axis1=1, axis2=2))[:, None, None]
-    encoded = 0.5 * (encoded + encoded.conj().transpose(0, 2, 1))
-    t = encoded.reshape(-1, 2, 2, 2, 2)
-    # (input, measured qubit, outcome, 2, 2)
-    blocks = np.stack([np.einsum("noaob->noab", t), np.einsum("naobo->noab", t)], axis=1)
-    probs = np.real(np.trace(blocks, axis1=-2, axis2=-1))
-    if probs.min() < PROB_FLOOR:
-        _, qubit, outcome = np.unravel_index(np.argmin(probs), probs.shape)
-        raise ImpossibleOutcomeError(
-            f"outcome {outcome} on qubit {qubit + 1} has probability {probs.min():.3e}"
-        )
-    decoded = blocks / probs[..., None, None]
-    decoded[:, :, 1] = decoded[:, :, 1, ::-1, ::-1]
-    _check_density(encoded)
-    _check_density(decoded)
+    _, payloads, _, codes = _pipeline_inputs()
+    encoded = _encode_all(noise)[1]
+    decoded = _decode_batch(encoded)[1]
     encoded_fids = np.einsum("na,nab,nb->n", codes.conj(), encoded, codes)
     decoded_fids = np.einsum("na,nqoab,nb->nqo", payloads.conj(), decoded, payloads)
     encoded_fids = np.clip(np.real(encoded_fids), 0.0, 1.0)
@@ -697,22 +647,38 @@ def run_experiment(config: RunConfig) -> dict:
     return _RUNNERS[config.experiment](config)
 
 
-def _parse_noise(text: str) -> NoiseModel:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError("--noise takes three comma-separated visibilities")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"bad --noise value: {exc}") from exc
-    return NoiseModel(*values)
+def _three_numbers(value, error: str) -> tuple[float, float, float]:
+    """Three finite numbers from a JSON list or a flag's comma-separated text.
+
+    Anything else raises ConfigError(error).
+    """
+    parts = value.split(",") if isinstance(value, str) else value
+    if isinstance(parts, list) and len(parts) == 3 and not any(isinstance(p, bool) for p in parts):
+        try:
+            numbers = tuple(float(p) for p in parts)
+        except (TypeError, ValueError):
+            raise ConfigError(error) from None
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    raise ConfigError(error)
 
 
-def _parse_targets(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError("--targets takes three comma-separated fidelities")
-    return tuple(float(p) for p in parts)
+def _parse_noise(value, source: str) -> NoiseModel | None:
+    """The gate a --noise flag or a config file's noise names; None is the ideal gate.
+
+    Accepts "ideal", three visibilities (V_NC, V_CC, V_CT), or an object with
+    exactly the three NoiseModel keys.
+    """
+    if value == "ideal":
+        return None
+    keys = list(NoiseModel().to_dict())
+    if isinstance(value, dict) and sorted(value) == sorted(keys):
+        value = [value[key] for key in keys]
+    error = (
+        f"{source} must be 'ideal', three visibilities or an object with exactly "
+        f"the keys {', '.join(keys)}; got {value!r}"
+    )
+    return NoiseModel(*_three_numbers(value, error))
 
 
 def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
@@ -728,23 +694,21 @@ def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
             return flag_value
         return file_values.get(key, default)
 
-    noise = None
-    use_default = True
-    file_noise = file_values.get("noise")
-    if args.ideal or file_noise == "ideal":
-        use_default = False
-    elif args.noise is not None:
-        noise, use_default = _parse_noise(args.noise), False
-    elif isinstance(file_noise, dict):
-        noise, use_default = NoiseModel.from_dict(file_noise), False
-    elif isinstance(file_noise, (list, tuple)):
-        noise, use_default = NoiseModel(*[float(v) for v in file_noise]), False
+    noise, use_default = None, False
+    if args.noise is not None:
+        noise = _parse_noise(args.noise, "--noise")
+    elif "noise" in file_values and not args.ideal:
+        noise = _parse_noise(file_values["noise"], "config noise")
+    else:
+        use_default = not args.ideal
 
     targets = DEFAULT_TARGETS
     if getattr(args, "targets", None) is not None:
-        targets = _parse_targets(args.targets)
+        value = args.targets
+        targets = _three_numbers(value, f"--targets must be three numbers; got {value!r}")
     elif "targets" in file_values:
-        targets = tuple(float(t) for t in file_values["targets"])
+        value = file_values["targets"]
+        targets = _three_numbers(value, f"config targets must be three numbers; got {value!r}")
 
     return RunConfig(
         experiment=experiment,
@@ -784,7 +748,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file mirroring the run configuration")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="parityqec",
         description="Photonic parity-code experiments: encoding, tomography, decoding.",

@@ -213,16 +213,20 @@ def postselect_cnot(psi: PureState) -> tuple[float, PureState]:
     return prob, PureState(2, amp)
 
 
-def _noisy_cnot_batch(rhos: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Unnormalized channel outputs of a stack of 2-qubit inputs, (n, 4, 4) -> (n, 4, 4).
+def _noisy_cnot_batch(rhos: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The channel on a stack of 2-qubit inputs, (n, 4, 4).
 
-    The trace of each output is its coincidence probability.
+    Returns (coincidence probabilities (n,), outputs (n, 4, 4)): each output
+    is normalised by its probability and symmetrised to be exactly Hermitian.
     """
     vc, vt = noise.v_classical_control, noise.v_classical_target
     monomials = np.outer([1.0, vc, vt, vc * vt], [1.0, noise.v_nonclassical])
     superop = np.einsum("ij,ijab->ab", monomials, _CHANNEL_TERMS)
     flat = np.reshape(rhos, (-1, 16))
-    return (flat @ superop.T).reshape(-1, 4, 4)
+    out = (flat @ superop.T).reshape(-1, 4, 4)
+    probs = np.real(np.trace(out, axis1=1, axis2=2))
+    out = out / probs[:, None, None]
+    return probs, 0.5 * (out + out.conj().transpose(0, 2, 1))
 
 
 def noisy_cnot(rho_in: DensityMatrix, noise: NoiseModel) -> tuple[float, DensityMatrix]:
@@ -236,8 +240,5 @@ def noisy_cnot(rho_in: DensityMatrix, noise: NoiseModel) -> tuple[float, Density
     """
     if rho_in.num_qubits != 2:
         raise ValueError("the gate acts on 2-qubit states")
-    out = _noisy_cnot_batch(rho_in.matrix, noise)[0]
-    prob = float(np.real(np.trace(out)))
-    out = out / prob
-    out = 0.5 * (out + out.conj().T)
-    return prob, DensityMatrix(2, out)
+    probs, outs = _noisy_cnot_batch(rho_in.matrix, noise)
+    return float(probs[0]), DensityMatrix(2, outs[0])

@@ -21,9 +21,12 @@ import numpy as np
 from .cnotgate import NoiseModel, noisy_cnot, postselect_cnot
 from .optics import HWP, WaveplateSetting, waveplate
 from .qcore import (
+    PROB_FLOOR,
     DensityMatrix,
+    ImpossibleOutcomeError,
     PAULI_X,
     PureState,
+    _check_density,
     apply_to_pure,
     conditional_state,
     kron,
@@ -32,7 +35,6 @@ from .qcore import (
 
 PROVENANCE_IDEAL = "ideal"
 PROVENANCE_GATE = "gate-simulated"
-PROVENANCE_RECONSTRUCTED = "reconstructed"
 
 SAMPLED = "sampled"
 
@@ -52,7 +54,7 @@ class EncodedState:
     input_description: str = ""
 
     def __post_init__(self):
-        if self.provenance not in (PROVENANCE_IDEAL, PROVENANCE_GATE, PROVENANCE_RECONSTRUCTED):
+        if self.provenance not in (PROVENANCE_IDEAL, PROVENANCE_GATE):
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
     @property
@@ -156,6 +158,33 @@ def decode(
         rest = DensityMatrix(rest.num_qubits, x_full @ rest.matrix @ x_full.conj().T)
         applied = True
     return DecodedResult(outcome, prob, rest, applied)
+
+
+def _decode_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All four corrected Z decodings of a stack of 2-qubit states, (n, 4, 4).
+
+    Reshaped to (2, 2, 2, 2), a state holds its decodings as conditional 2x2
+    blocks: qubit 1 with outcome o is the [o, :, o, :] block, qubit 2 the
+    [:, o, :, o] one, each normalised by its trace (the outcome probability).
+    The X correction after outcome 1 swaps the two surviving amplitudes.
+
+    Returns (outcome probabilities (n, 2, 2), decoded states (n, 2, 2, 2, 2)),
+    indexed [input, measured qubit - 1, outcome]. An outcome below PROB_FLOOR
+    raises ImpossibleOutcomeError, and the decoded states are validated as
+    density matrices in one batched check.
+    """
+    t = states.reshape(-1, 2, 2, 2, 2)
+    blocks = np.stack([np.einsum("noaob->noab", t), np.einsum("naobo->noab", t)], axis=1)
+    probs = np.real(np.trace(blocks, axis1=-2, axis2=-1))
+    if probs.min() < PROB_FLOOR:
+        _, qubit, outcome = np.unravel_index(np.argmin(probs), probs.shape)
+        raise ImpossibleOutcomeError(
+            f"outcome {outcome} on qubit {qubit + 1} has probability {probs.min():.3e}"
+        )
+    decoded = blocks / probs[..., None, None]
+    decoded[:, :, 1] = decoded[:, :, 1, ::-1, ::-1]
+    _check_density(decoded)
+    return probs, decoded
 
 
 def parity_extend(psi: PureState, n: int) -> PureState:

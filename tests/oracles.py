@@ -14,9 +14,10 @@ a time. The production code contracts precomputed terms over a batch instead.
 
 import numpy as np
 
-from parityqec.cli import REFERENCE_INPUTS, _sweep_inputs
+from parityqec.cli import REFERENCE_INPUTS, SWEEP_ANGLES
 from parityqec.cnotgate import _network_unitary, _two_photon_operators, postselect_cnot
 from parityqec.codec import ideal_encoded
+from parityqec.optics import PHI_FAMILY, THETA_FAMILY, prepare_input
 from parityqec.qcore import PAULI_X, DensityMatrix, PureState, conditional_state, fidelity, kron
 
 CONTROL_MODES = (1, 2)
@@ -131,7 +132,11 @@ def per_cell_pipeline_means(noise):
         return fidelity(encoded, ideal_encoded(psi)), decoded
 
     reference = [cell(psi) for _, psi in REFERENCE_INPUTS]
-    sweep = [cell(psi) for *_, psi in _sweep_inputs()]
+    sweep = [
+        cell(prepare_input(family, angle).state)
+        for family in (THETA_FAMILY, PHI_FAMILY)
+        for angle in SWEEP_ANGLES
+    ]
     return (
         float(np.mean([enc for enc, _ in reference])),
         float(np.mean([fid for _, dec in reference for fid in dec])),

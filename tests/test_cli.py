@@ -75,6 +75,19 @@ class TestConfig:
         assert cfg.resolved_noise() == NoiseModel(0.9, 0.95, 0.97)
 
 
+    def test_config_file_noise_object(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"noise": NoiseModel(0.9, 0.95, 0.97).to_dict()}))
+        cfg = build_config("fig2", _parse(["fig2", "--config", str(cfg_file)]))
+        assert cfg.resolved_noise() == NoiseModel(0.9, 0.95, 0.97)
+
+    def test_noise_flag_overrides_the_file(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"noise": "ideal"}))
+        args = _parse(["fig2", "--config", str(cfg_file), "--noise", "0.9,0.8,0.7"])
+        assert build_config("fig2", args).resolved_noise() == NoiseModel(0.9, 0.8, 0.7)
+
+
 def _parse(argv):
     from parityqec.cli import _build_parser
 
@@ -321,6 +334,36 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"noise": "Ideal"},
+            {"noise": [0.9, 0.8]},
+            {"noise": [0.9, True, 1.0]},
+            {"noise": {"v_nonclassical": 0.9}},
+            {"noise": {**NoiseModel().to_dict(), "v_extra": 1.0}},
+            {"targets": 5},
+            {"targets": [0.9, 0.9]},
+            {"targets": [0.9, "x", 0.9]},
+        ],
+    )
+    def test_bad_config_values_fail_cleanly(self, tmp_path, capsys, values):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(values))
+        code = main(["table1", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_calls_do_not_leak_flags(self, tmp_path, capsys):
+        assert main(["table1", "--ideal", "--out", str(tmp_path / "a")]) == 0
+        assert main(["table1", "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        default = json.dumps(load_default_noise().to_dict(), sort_keys=True)
+        assert '  noise: "ideal"' in (tmp_path / "a" / "table1_summary.txt").read_text()
+        assert f"  noise: {default}" in (tmp_path / "b" / "table1_summary.txt").read_text()
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parityqec.cnotgate import NoiseModel
 from parityqec.codec import (
@@ -10,6 +12,7 @@ from parityqec.codec import (
     PROVENANCE_IDEAL,
     SAMPLED,
     EncodedState,
+    _decode_batch,
     decode,
     encode,
     ideal_encoded,
@@ -158,6 +161,61 @@ class TestDecode:
         enc = EncodedState(pure_state([1, 0, 0, 0]).density(), PROVENANCE_IDEAL)
         with pytest.raises(ImpossibleOutcomeError):
             decode(enc, 2, 1)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _complex_array(draw, shape):
+    size = 2 * int(np.prod(shape))
+    parts = np.array(draw(st.lists(_unit, min_size=size, max_size=size)))
+    return (parts[::2] + 1j * parts[1::2]).reshape(shape)
+
+
+@st.composite
+def density_stacks(draw):
+    """1-3 random full-rank 2-qubit density matrices, stacked."""
+    g = _complex_array(draw, (draw(st.integers(1, 3)), 4, 4))
+    rhos = g @ g.conj().transpose(0, 2, 1) + 1e-3 * np.eye(4)
+    return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+
+
+@st.composite
+def payload_lists(draw):
+    """1-4 random 1-qubit payloads."""
+    amps = _complex_array(draw, (draw(st.integers(1, 4)), 2))
+    assume(np.linalg.norm(amps, axis=1).min() > 1e-3)
+    return [PureState(1, a) for a in amps]
+
+
+class TestDecodeBatch:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(density_stacks())
+    def test_matches_per_cell_decode(self, rhos):
+        probs, decoded = _decode_batch(rhos)
+        for idx, rho in enumerate(rhos):
+            enc = EncodedState(DensityMatrix(2, rho), PROVENANCE_GATE)
+            for qubit in (1, 2):
+                for outcome in (0, 1):
+                    cell = decode(enc, qubit, outcome, correct=True)
+                    assert abs(probs[idx, qubit - 1, outcome] - cell.probability) <= 1e-12
+                    np.testing.assert_allclose(
+                        decoded[idx, qubit - 1, outcome], cell.state.matrix, rtol=0, atol=1e-12
+                    )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(payload_lists())
+    def test_ideal_code_decodes_fairly_and_corrects(self, payloads):
+        codes = np.stack([ideal_encoded(psi).density().matrix for psi in payloads])
+        probs, decoded = _decode_batch(codes)
+        np.testing.assert_allclose(probs, 0.5, rtol=0, atol=1e-12)
+        for idx, psi in enumerate(payloads):
+            for state in decoded[idx].reshape(4, 2, 2):
+                assert fidelity(DensityMatrix(1, state), psi) >= 1.0 - 1e-12
+
+    def test_impossible_outcome_raises(self):
+        with pytest.raises(ImpossibleOutcomeError):
+            _decode_batch(pure_state([1, 0, 0, 0]).density().matrix[None])
 
 
 class TestParityExtend:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parityqec.measure import (
     MINIMAL,
@@ -171,6 +173,22 @@ class TestSerialization:
         for orig, rec in zip(records, back):
             assert rec.setting.num_qubits == 1
             assert rec.count == pytest.approx(orig.count, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([(1, MINIMAL), (1, OVERCOMPLETE), (2, MINIMAL), (2, OVERCOMPLETE)]),
+        st.one_of(
+            st.lists(st.integers(0, 2**53), min_size=36, max_size=36),
+            st.lists(st.floats(0.0, 1e12, allow_nan=False), min_size=36, max_size=36),
+        ),
+        st.integers(1, 10**9),
+    )
+    def test_round_trip_property(self, tmp_path_factory, scheme, counts, shots):
+        settings_list = tomo_settings(*scheme)
+        records = [CountRecord(s, c, shots) for s, c in zip(settings_list, counts)]
+        path = tmp_path_factory.mktemp("counts") / "counts.csv"
+        write_count_records(records, path)
+        assert read_count_records(path) == records
 
     def test_byte_identical_output_for_same_seed(self, tmp_path):
         rho = pure_state([1, 1, 1, 1]).density()
