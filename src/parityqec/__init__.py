@@ -18,13 +18,10 @@ from .qcore import (
     DensityMatrix,
     HermitianMatrix,
     ImpossibleOutcomeError,
-    Operator,
     PureState,
     conditional_state,
     fidelity,
-    partial_trace,
     pure_state,
-    stokes,
 )
 from .teleport import (
     attempt_success_prob,
@@ -40,7 +37,6 @@ __all__ = [
     "HermitianMatrix",
     "ImpossibleOutcomeError",
     "NoiseModel",
-    "Operator",
     "PureState",
     "TomographyResult",
     "attempt_success_prob",
@@ -56,12 +52,10 @@ __all__ = [
     "mle",
     "noisy_cnot",
     "parity_extend",
-    "partial_trace",
     "postselect_cnot",
     "prepare_input",
     "pure_state",
     "simulate_counts",
     "simulate_teleport",
-    "stokes",
     "tomo_settings",
 ]

@@ -47,7 +47,6 @@ from .qcore import (
     DensityMatrix,
     PureState,
     _check_density,
-    fidelity,
     kron,
     save_density_matrix,
 )
@@ -81,6 +80,8 @@ CALIBRATION_TOLERANCE = 0.05
 _CUBE_CORNERS = tuple(itertools.product((1.0, 0.0), repeat=3))
 # a start whose cost 0.5 * sum(residual^2) is at most this met the targets
 _EXACT_COST = 1e-24
+# the JSON type each scalar config-file value must have (an int is no bool)
+_FILE_TYPES = dict(shots=int, seed=int, budget=int, exact=bool, plots=bool, out=str, scheme=str)
 
 
 class ConfigError(ValueError):
@@ -268,14 +269,24 @@ def _encode_all(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
     return probs, encoded
 
 
+def _fidelities(kets: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<psi|rho|psi> of each ket (..., d) with its state (..., d, d), clipped to [0, 1].
+
+    The leading axes broadcast, so one call scores a whole stack.
+    """
+    values = np.einsum("...a,...ab,...b->...", kets.conj(), states, kets)
+    return np.clip(np.real(values), 0.0, 1.0)
+
+
 def run_table1(config: RunConfig) -> dict:
     """Encoder truth table: success probability and fidelity per input."""
     probs, encoded = _encode_all(config.resolved_noise())
+    fids = _fidelities(_pipeline_inputs()[3], encoded)
     rows = []
     out = config.out_dir
-    for idx, (label, psi) in enumerate(REFERENCE_INPUTS):
+    for idx, (label, _) in enumerate(REFERENCE_INPUTS):
+        rows.append((label, float(probs[idx]), float(fids[idx])))
         state = DensityMatrix(2, encoded[idx])
-        rows.append((label, float(probs[idx]), fidelity(state, ideal_encoded(psi))))
         save_density_matrix(state, _prepared(out / "table1_states" / f"{label}.json"))
     lines = _header_lines(config) + ["", "encoder outputs (success probability, fidelity vs ideal code):"]
     lines += [f"  {label}: p={p:.6f} F={f:.6f}" for label, p, f in rows]
@@ -289,22 +300,19 @@ def _fig2_cells(config: RunConfig) -> list[dict]:
     probs, encoded = _encode_all(config.resolved_noise())
     settings = tomo_settings(2, config.scheme)
     cells = []
-    for idx, (label, psi) in enumerate(REFERENCE_INPUTS):
+    for idx, (label, _) in enumerate(REFERENCE_INPUTS):
         state = DensityMatrix(2, encoded[idx])
         if config.exact:
             counts = expected_counts(state, settings, config.shots)
         else:
             seed = _cell_seed(config.seed, 2, idx)
             counts = simulate_counts(state, settings, config.shots, seed=seed)
-        result = mle(counts)
         cells.append(
             {
                 "label": label,
-                "input": psi,
                 "success_prob": float(probs[idx]),
                 "counts": counts,
-                "tomography": result,
-                "fidelity": fidelity(result.rho, ideal_encoded(psi)),
+                "tomography": mle(counts),
             }
         )
     return cells
@@ -313,9 +321,11 @@ def _fig2_cells(config: RunConfig) -> list[dict]:
 def run_fig2(config: RunConfig) -> dict:
     """2-qubit tomography survey of the six encoded reference states."""
     cells = _fig2_cells(config)
+    rhos = np.stack([cell["tomography"].rho.matrix for cell in cells])
+    fids = _fidelities(_pipeline_inputs()[3][: len(cells)], rhos)
     out = config.out_dir
     rows = []
-    for cell in cells:
+    for cell, fid in zip(cells, fids):
         label = cell["label"]
         write_count_records(cell["counts"], _prepared(out / "fig2_counts" / f"{label}.csv"))
         save_density_matrix(cell["tomography"].rho, _prepared(out / "fig2_states" / f"{label}.json"))
@@ -323,12 +333,12 @@ def run_fig2(config: RunConfig) -> dict:
             (
                 label,
                 cell["success_prob"],
-                cell["fidelity"],
+                float(fid),
                 cell["tomography"].iterations,
                 cell["tomography"].converged,
             )
         )
-    mean, sd = _mean_sd([cell["fidelity"] for cell in cells])
+    mean, sd = _mean_sd([row[2] for row in rows])
     lines = _header_lines(config) + ["", "encoded-state reconstruction fidelities:"]
     lines += [f"  {label}: F={fid:.6f}" for label, _, fid, _, _ in rows]
     lines += ["", f"mean fidelity: {mean:.6f}", f"sd across states: {sd:.6f}"]
@@ -340,8 +350,7 @@ def run_fig2(config: RunConfig) -> dict:
     _write_text(out / "fig2_summary.txt", lines)
     if config.plots:
         labels = [row[0] for row in rows]
-        fids = [row[2] for row in rows]
-        svg = _bar_chart_svg("encoded-state fidelities", labels, fids)
+        svg = _bar_chart_svg("encoded-state fidelities", labels, [row[2] for row in rows])
         _prepared(out / "fig2_bars.svg").write_text(svg)
     return {"rows": rows, "cells": cells, "mean": mean, "sd": sd, "summary": out / "fig2_summary.txt"}
 
@@ -350,15 +359,16 @@ def run_fig3(config: RunConfig) -> dict:
     """Decode the fig2 reconstructions by each of the four Z measurements."""
     cells = _fig2_cells(config)
     probs, decoded = _decode_batch(np.stack([cell["tomography"].rho.matrix for cell in cells]))
+    fids = _fidelities(_pipeline_inputs()[1][: len(cells), None, None], decoded)
     out = config.out_dir
     rows = []
     imag_rows = []
     for idx, cell in enumerate(cells):
-        label, psi = cell["label"], cell["input"]
+        label = cell["label"]
         for qubit in (1, 2):
             for outcome in (0, 1):
                 state = DensityMatrix(1, decoded[idx, qubit - 1, outcome])
-                fid = fidelity(state, psi)
+                fid = float(fids[idx, qubit - 1, outcome])
                 mean_abs_imag = float(np.mean(np.abs(state.matrix.imag)))
                 prob = float(probs[idx, qubit - 1, outcome])
                 rows.append((label, qubit, outcome, prob, fid, mean_abs_imag))
@@ -404,9 +414,9 @@ def run_fig4(config: RunConfig) -> dict:
     probs, decoded = _decode_batch(_encode_all(config.resolved_noise())[1])
     settings = tomo_settings(1, config.scheme)
     out = config.out_dir
-    rows = []
-    cells, *_ = _pipeline_inputs()
-    for idx, (label, family, angle, psi) in enumerate(cells):
+    cells, payloads, _, _ = _pipeline_inputs()
+    cell_rows, rhos = [], []
+    for idx, (label, family, angle, _) in enumerate(cells):
         for qubit in (1, 2):
             for outcome in (0, 1):
                 state = DensityMatrix(1, decoded[idx, qubit - 1, outcome])
@@ -415,10 +425,13 @@ def run_fig4(config: RunConfig) -> dict:
                 else:
                     seed = _cell_seed(config.seed, 4, idx, qubit, outcome)
                     counts = simulate_counts(state, settings, config.shots, seed=seed)
-                fid = fidelity(mle(counts).rho, psi)
+                rhos.append(mle(counts).rho.matrix)
                 prob = float(probs[idx, qubit - 1, outcome])
                 angle_field = "" if angle is None else angle
-                rows.append((label, family, angle_field, qubit, outcome, prob, fid))
+                cell_rows.append((label, family, angle_field, qubit, outcome, prob))
+    # rows run over (input, qubit, outcome) in C order, as decoded does
+    fids = _fidelities(payloads[:, None, None], np.reshape(rhos, decoded.shape)).reshape(-1)
+    rows = [(*row, float(fid)) for row, fid in zip(cell_rows, fids)]
     sweep_fids = [r[6] for r in rows if r[1] != "reference"]
     mean, sd = _mean_sd(sweep_fids)
     full_mean, _ = _mean_sd([r[6] for r in rows])
@@ -516,15 +529,12 @@ def exact_pipeline_means(noise: NoiseModel | None) -> tuple[float, float, float]
 
     All 22 inputs are encoded in one batched contraction (_encode_all) and
     decoded by all four Z measurements at once (codec._decode_batch), and
-    every fidelity <psi|rho|psi> is one einsum, clipped to [0, 1].
+    each stack of fidelities is one _fidelities call.
     """
     _, payloads, _, codes = _pipeline_inputs()
     encoded = _encode_all(noise)[1]
-    decoded = _decode_batch(encoded)[1]
-    encoded_fids = np.einsum("na,nab,nb->n", codes.conj(), encoded, codes)
-    decoded_fids = np.einsum("na,nqoab,nb->nqo", payloads.conj(), decoded, payloads)
-    encoded_fids = np.clip(np.real(encoded_fids), 0.0, 1.0)
-    decoded_fids = np.clip(np.real(decoded_fids), 0.0, 1.0)
+    encoded_fids = _fidelities(codes, encoded)
+    decoded_fids = _fidelities(payloads[:, None, None], _decode_batch(encoded)[1])
     n_ref = len(REFERENCE_INPUTS)
     return (
         float(np.mean(encoded_fids[:n_ref])),
@@ -688,6 +698,10 @@ def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
         file_values = json.loads(Path(args.config).read_text())
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
+        for key, value in file_values.items():
+            kind = _FILE_TYPES.get(key)
+            if kind is not None and type(value) is not kind:
+                raise ConfigError(f"config {key} must be {kind.__name__}; got {value!r}")
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -714,14 +728,14 @@ def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
         experiment=experiment,
         noise=noise,
         use_default_noise=use_default,
-        shots=int(pick(args.shots, "shots", 10_000)),
-        seed=int(pick(args.seed, "seed", 0)),
+        shots=pick(args.shots, "shots", 10_000),
+        seed=pick(args.seed, "seed", 0),
         scheme=pick(args.scheme, "scheme", MINIMAL),
         out_dir=Path(pick(args.out, "out", "parityqec-results")),
-        exact=bool(args.exact or file_values.get("exact", False)),
-        plots=bool(args.plots or file_values.get("plots", False)),
+        exact=args.exact or file_values.get("exact", False),
+        plots=args.plots or file_values.get("plots", False),
         targets=targets,
-        budget=int(pick(getattr(args, "budget", None), "budget", 900)),
+        budget=pick(getattr(args, "budget", None), "budget", 900),
     )
 
 

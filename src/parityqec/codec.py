@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnotgate import NoiseModel, noisy_cnot, postselect_cnot
+from .cnotgate import NoiseModel, noisy_cnot
 from .optics import HWP, WaveplateSetting, waveplate
 from .qcore import (
     PROB_FLOOR,
@@ -27,7 +27,6 @@ from .qcore import (
     PAULI_X,
     PureState,
     _check_density,
-    apply_to_pure,
     conditional_state,
     kron,
     single_qubit_operator,
@@ -40,9 +39,8 @@ SAMPLED = "sampled"
 
 MAX_CODE_QUBITS = 6
 
-_CONTROL_PLUS = apply_to_pure(
-    waveplate(WaveplateSetting(HWP, 22.5)), PureState(1, [1.0, 0.0])
-)
+# |H> through the half-wave plate: the first column of its Jones matrix
+_CONTROL_PLUS = PureState(1, waveplate(WaveplateSetting(HWP, 22.5))[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +49,6 @@ class EncodedState:
 
     state: DensityMatrix
     provenance: str
-    input_description: str = ""
 
     def __post_init__(self):
         if self.provenance not in (PROVENANCE_IDEAL, PROVENANCE_GATE):
@@ -78,12 +75,6 @@ class DecodedResult:
             raise ValueError("probability out of range")
 
 
-def describe_state(psi: PureState) -> str:
-    """Compact text form of a 1-qubit state for logs and reports."""
-    a, b = psi.amplitudes
-    return f"({a.real:+.4f}{a.imag:+.4f}j)|0> + ({b.real:+.4f}{b.imag:+.4f}j)|1>"
-
-
 def ideal_encoded(psi: PureState) -> PureState:
     """The exact code state a(|00>+|11>)/sqrt2 + b(|01>+|10>)/sqrt2."""
     if psi.num_qubits != 1:
@@ -97,22 +88,22 @@ def encode(psi: PureState, gate: str | NoiseModel = "ideal") -> tuple[float, Enc
 
     Args:
         psi: 1-qubit payload, becomes the target input.
-        gate: "ideal" for the exact post-selected gate, or a NoiseModel.
+        gate: "ideal" for the gate at visibilities (1, 1, 1), or a NoiseModel.
+            Both run the same channel (cnotgate.noisy_cnot) as the CLI does.
 
     Returns:
         (coincidence probability, encoded 2-qubit state).
     """
     if psi.num_qubits != 1:
         raise ValueError("the code encodes a single qubit")
-    joint = kron(_CONTROL_PLUS, psi)
-    description = describe_state(psi)
     if isinstance(gate, str):
         if gate != "ideal":
             raise ValueError(f"gate must be 'ideal' or a NoiseModel, got {gate!r}")
-        prob, out = postselect_cnot(joint)
-        return prob, EncodedState(out.density(), PROVENANCE_IDEAL, description)
-    prob, rho = noisy_cnot(joint.density(), gate)
-    return prob, EncodedState(rho, PROVENANCE_GATE, description)
+        gate, provenance = NoiseModel.ideal(), PROVENANCE_IDEAL
+    else:
+        provenance = PROVENANCE_GATE
+    prob, rho = noisy_cnot(kron(_CONTROL_PLUS, psi).density(), gate)
+    return prob, EncodedState(rho, provenance)
 
 
 def _outcome_probability(rho: DensityMatrix, qubit: int, outcome: int) -> float:

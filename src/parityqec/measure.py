@@ -14,6 +14,7 @@ fixed seed gives bit-identical count lists across runs and platforms.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ class CountRecord:
     shots_nominal: int
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
+        if not (math.isfinite(self.count) and self.count >= 0):
+            raise ValueError(f"count must be finite and non-negative, got {self.count}")
         if self.shots_nominal <= 0:
             raise ValueError("shots_nominal must be positive")
 
@@ -105,7 +106,7 @@ def setting_projector(setting: MeasurementSetting) -> np.ndarray:
     """Tensor-product projector of a measurement setting."""
     proj = np.array([[1.0 + 0.0j]])
     for analyzer in setting.analyzers:
-        proj = np.kron(proj, analyzer_projector(analyzer).matrix)
+        proj = np.kron(proj, analyzer_projector(analyzer))
     return proj
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Operator, PureState
+from .qcore import PureState
 
 HWP = "HWP"
 QWP = "QWP"
@@ -63,28 +63,31 @@ class AnalyzerSetting:
         object.__setattr__(self, "hwp_angle", float(self.hwp_angle) % 180.0)
 
 
-def waveplate(setting: WaveplateSetting) -> Operator:
-    """Jones matrix of a single wave plate."""
-    t = np.deg2rad(setting.angle)
-    c, s = np.cos(t), np.sin(t)
-    if setting.kind == HWP:
+def _jones(kind: str, angle: float) -> np.ndarray:
+    """Jones matrix of a wave plate whose angle is already reduced mod 180."""
+    t = np.deg2rad(angle)
+    if kind == HWP:
         c2, s2 = np.cos(2 * t), np.sin(2 * t)
-        mat = np.array([[c2, s2], [s2, -c2]], dtype=complex)
-    else:
-        mat = np.exp(-1j * np.pi / 4) * np.array(
-            [
-                [c**2 + 1j * s**2, (1 - 1j) * s * c],
-                [(1 - 1j) * s * c, s**2 + 1j * c**2],
-            ]
-        )
-    return Operator(2, mat)
+        return np.array([[c2, s2], [s2, -c2]], dtype=complex)
+    c, s = np.cos(t), np.sin(t)
+    return np.exp(-1j * np.pi / 4) * np.array(
+        [
+            [c**2 + 1j * s**2, (1 - 1j) * s * c],
+            [(1 - 1j) * s * c, s**2 + 1j * c**2],
+        ]
+    )
+
+
+def waveplate(setting: WaveplateSetting) -> np.ndarray:
+    """Jones matrix of a single wave plate, read-only."""
+    mat = _jones(setting.kind, setting.angle)
+    mat.flags.writeable = False
+    return mat
 
 
 def _composed(qwp_angle: float, hwp_angle: float) -> np.ndarray:
     """Jones matrix of HWP followed by QWP (light passes the HWP first)."""
-    q = waveplate(WaveplateSetting(QWP, qwp_angle)).matrix
-    h = waveplate(WaveplateSetting(HWP, hwp_angle)).matrix
-    return q @ h
+    return _jones(QWP, qwp_angle) @ _jones(HWP, hwp_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -130,55 +133,27 @@ def prepare_input(family: str, angle: float) -> PreparedInput:
     return PreparedInput(family, float(angle), hwp_angle, qwp_angle, PureState(1, amps))
 
 
-def recipe_state(prepared: PreparedInput) -> PureState:
-    """Run the recipe's wave plates on |H> (used to cross-check prepare_input)."""
-    amps = _composed(prepared.qwp_angle, prepared.hwp_angle) @ np.array([1.0, 0.0], dtype=complex)
-    return PureState(1, amps)
-
-
 # ---------------------------------------------------------------------------
 # Analysis
 # ---------------------------------------------------------------------------
 
-def analyzer_projector(setting: AnalyzerSetting) -> Operator:
-    """Rank-1 projector implemented by an analyzer setting.
+def analyzer_projector(setting: AnalyzerSetting) -> np.ndarray:
+    """Rank-1 projector implemented by an analyzer setting, read-only.
 
     The analyzer applies W = QWP(q) @ HWP(h) and detects on one PBS port, so
     the projector on the incoming state is W^dag |port><port| W.
     """
     w = _composed(setting.qwp_angle, setting.hwp_angle)
-    port_index = 0 if setting.port == TRANSMITTED else 1
-    ket = w.conj().T[:, port_index]
-    return Operator(2, np.outer(ket, ket.conj()))
+    ket = w[0 if setting.port == TRANSMITTED else 1].conj()
+    proj = np.outer(ket, ket.conj())
+    proj.flags.writeable = False
+    return proj
 
 
-def analyzed_state(setting: AnalyzerSetting) -> PureState:
-    """The pure state an analyzer setting projects onto."""
-    w = _composed(setting.qwp_angle, setting.hwp_angle)
-    port_index = 0 if setting.port == TRANSMITTED else 1
-    return PureState(1, w.conj().T[:, port_index])
-
-
-# The six Pauli eigenstates and the transmitted-port analyzer angles that
-# select them. With light passing the HWP first, circular analysis needs the
-# QWP at +-45 degrees; the HWP then only flips handedness, so L sits at
-# qwp = 135 (= -45 mod 180).
-KET_H = PureState(1, [1.0, 0.0])
-KET_V = PureState(1, [0.0, 1.0])
-KET_D = PureState(1, [1.0, 1.0])
-KET_A = PureState(1, [1.0, -1.0])
-KET_L = PureState(1, [1.0, 1.0j])
-KET_R = PureState(1, [1.0, -1.0j])
-
-PAULI_EIGENSTATES = {
-    "H": KET_H,
-    "V": KET_V,
-    "D": KET_D,
-    "A": KET_A,
-    "R": KET_R,
-    "L": KET_L,
-}
-
+# The transmitted-port analyzer angles that select the six Pauli eigenstates
+# H, V, D = H + V, A = H - V, R = H - iV and L = H + iV. With light passing
+# the HWP first, circular analysis needs the QWP at +-45 degrees; the HWP
+# then only flips handedness, so L sits at qwp = 135 (= -45 mod 180).
 ANALYZER_SETTINGS = {
     "H": AnalyzerSetting(qwp_angle=0.0, hwp_angle=0.0),
     "V": AnalyzerSetting(qwp_angle=0.0, hwp_angle=45.0),

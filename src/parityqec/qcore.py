@@ -1,6 +1,6 @@
 """Small-n qubit state algebra.
 
-Pure states, density matrices, reduction, conditioning and fidelity for the
+Pure states, density matrices, conditioning and fidelity for the
 one- and two-qubit (and small n) systems the rest of the package works with.
 Qubit 1 is the leftmost tensor factor; the computational basis is ordered
 |00>, |01>, |10>, |11> (and likewise for larger registers).
@@ -127,21 +127,6 @@ class HermitianMatrix:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """A complex square matrix; not necessarily unitary."""
-
-    dimension: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_complex_array(self.matrix)
-        if mat.shape != (self.dimension, self.dimension):
-            raise ValueError(f"expected shape {(self.dimension, self.dimension)}")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
@@ -149,7 +134,7 @@ class Operator:
 def pure_state(amplitudes) -> PureState:
     """Build a PureState from raw amplitudes, inferring the qubit count."""
     amps = _as_complex_array(amplitudes).reshape(-1)
-    n = int(round(np.log2(amps.shape[0])))
+    n = amps.shape[0].bit_length() - 1
     if 2**n != amps.shape[0]:
         raise ValueError("amplitude count must be a power of two")
     return PureState(n, amps)
@@ -158,19 +143,6 @@ def pure_state(amplitudes) -> PureState:
 def kron(a: PureState, b: PureState) -> PureState:
     """Tensor product; 'a' occupies the leading (leftmost) qubits."""
     return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def apply_to_pure(op: Operator, psi: PureState) -> PureState:
-    """Apply an operator to a pure state and renormalize.
-
-    Raises ValueError if the operator annihilates the state.
-    """
-    return pure_state(op.matrix @ psi.amplitudes)
-
-
-def apply_unitary(rho: DensityMatrix, op: Operator) -> DensityMatrix:
-    """Conjugate a density matrix by a unitary operator."""
-    return DensityMatrix(rho.num_qubits, op.matrix @ rho.matrix @ op.matrix.conj().T)
 
 
 def single_qubit_operator(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
@@ -198,38 +170,6 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
     v = target.amplitudes
     value = float(np.real(v.conj() @ rho.matrix @ v))
     return min(max(value, 0.0), 1.0)
-
-
-def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """General two-density-matrix fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    Provided as a utility; the pipelines compare against pure targets.
-    """
-    if rho.num_qubits != sigma.num_qubits:
-        raise ValueError("dimension mismatch")
-    w, u = np.linalg.eigh(rho.matrix)
-    sqrt_rho = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    ew = np.linalg.eigvalsh(inner)
-    value = float(np.sum(np.sqrt(np.clip(ew, 0.0, None)))) ** 2
-    return min(max(value, 0.0), 1.0)
-
-
-def trace_distance(a: DensityMatrix | HermitianMatrix, b: DensityMatrix | HermitianMatrix) -> float:
-    """Trace distance (1/2)||a - b||_1 between two Hermitian matrices."""
-    ew = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return 0.5 * float(np.sum(np.abs(ew)))
-
-
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Trace out one qubit of a 2-qubit state, keeping the 1-based index 'keep'."""
-    if rho.num_qubits != 2:
-        raise ValueError("partial_trace expects a 2-qubit state")
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
-    t = rho.matrix.reshape(2, 2, 2, 2)
-    reduced = np.einsum("ikjk->ij", t) if keep == 1 else np.einsum("kikj->ij", t)
-    return DensityMatrix(1, reduced)
 
 
 def conditional_state(rho: DensityMatrix, measured: int, outcome: int) -> tuple[float, DensityMatrix]:
@@ -265,27 +205,6 @@ def conditional_state(rho: DensityMatrix, measured: int, outcome: int) -> tuple[
             f"outcome {outcome} on qubit {measured} has probability {prob:.3e}"
         )
     return prob, DensityMatrix(n - 1, sub / prob)
-
-
-def stokes(rho: DensityMatrix) -> tuple[float, ...]:
-    """Pauli expectation values of a 1- or 2-qubit state.
-
-    One qubit: (<X>, <Y>, <Z>). Two qubits: 15 values for every Pauli pair
-    (P, Q) != (I, I) in row-major order over (I, X, Y, Z):
-    IX, IY, IZ, XI, XX, XY, XZ, YI, YX, ..., ZZ.
-    """
-    paulis = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
-    if rho.num_qubits == 1:
-        return tuple(float(np.real(np.trace(p @ rho.matrix))) for p in paulis[1:])
-    if rho.num_qubits == 2:
-        values = []
-        for i, p in enumerate(paulis):
-            for j, q in enumerate(paulis):
-                if i == j == 0:
-                    continue
-                values.append(float(np.real(np.trace(np.kron(p, q) @ rho.matrix))))
-        return tuple(values)
-    raise ValueError("stokes supports 1- or 2-qubit states")
 
 
 # ---------------------------------------------------------------------------

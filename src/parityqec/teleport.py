@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import parity_extend
-from .qcore import DensityMatrix, PureState, conditional_state
+from .qcore import DensityMatrix, PureState
 
 BELL_LABELS = ("00", "01", "10", "11")
 
@@ -84,18 +83,6 @@ def encoded_teleport_success(n: int, code_width: int) -> float:
     if int(code_width) != code_width or code_width < 1:
         raise ValueError("code_width must be a positive integer")
     return 1.0 - (1.0 / (n + 1.0)) ** code_width
-
-
-def z_outcome_probabilities(psi: PureState) -> tuple[float, float]:
-    """Exact Z statistics of either qubit of the width-2 encoded state.
-
-    (1/2, 1/2) for every payload: the code hides the logical amplitudes from
-    single-qubit Z measurements.
-    """
-    register = parity_extend(psi, 2).density()
-    p0, _ = conditional_state(register, 1, 0)
-    p1, _ = conditional_state(register, 1, 1)
-    return p0, p1
 
 
 def _run(psi: PureState, decide_success, decide_z, decide_bell) -> TeleportOutcome:

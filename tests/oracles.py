@@ -10,15 +10,35 @@ The noisy-channel and pipeline oracles start from those (tested) operators
 but take the slow road from there: the gate summed over its four dephasing
 branches, and the pipeline means computed one encode/decode/fidelity cell at
 a time. The production code contracts precomputed terms over a batch instead.
+
+The state-algebra, optics and teleport helpers at the end are independent
+references that the program itself has no use for: general fidelity, trace
+distance, partial trace, Pauli expectations, operator application, the
+preparation recipe run through the wave plates, the analyzed states, and the
+exact Z statistics of the width-2 code.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from parityqec.cli import REFERENCE_INPUTS, SWEEP_ANGLES
 from parityqec.cnotgate import _network_unitary, _two_photon_operators, postselect_cnot
-from parityqec.codec import ideal_encoded
-from parityqec.optics import PHI_FAMILY, THETA_FAMILY, prepare_input
-from parityqec.qcore import PAULI_X, DensityMatrix, PureState, conditional_state, fidelity, kron
+from parityqec.codec import ideal_encoded, parity_extend
+from parityqec.optics import PHI_FAMILY, THETA_FAMILY, TRANSMITTED, _composed, prepare_input
+from parityqec.qcore import (
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DensityMatrix,
+    PureState,
+    _as_complex_array,
+    conditional_state,
+    fidelity,
+    kron,
+    pure_state,
+)
 
 CONTROL_MODES = (1, 2)
 TARGET_MODES = (3, 4)
@@ -142,3 +162,132 @@ def per_cell_pipeline_means(noise):
         float(np.mean([fid for _, dec in reference for fid in dec])),
         float(np.mean([fid for _, dec in sweep for fid in dec])),
     )
+
+
+# ---------------------------------------------------------------------------
+# State algebra
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """A complex square matrix; not necessarily unitary."""
+
+    dimension: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = _as_complex_array(self.matrix)
+        if mat.shape != (self.dimension, self.dimension):
+            raise ValueError(f"expected shape {(self.dimension, self.dimension)}")
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+
+
+def apply_to_pure(op, psi):
+    """Apply an operator to a pure state and renormalize.
+
+    Raises ValueError if the operator annihilates the state.
+    """
+    return pure_state(op.matrix @ psi.amplitudes)
+
+
+def apply_unitary(rho, op):
+    """Conjugate a density matrix by a unitary operator."""
+    return DensityMatrix(rho.num_qubits, op.matrix @ rho.matrix @ op.matrix.conj().T)
+
+
+def fidelity_mixed(rho, sigma):
+    """General two-density-matrix fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    if rho.num_qubits != sigma.num_qubits:
+        raise ValueError("dimension mismatch")
+    w, u = np.linalg.eigh(rho.matrix)
+    sqrt_rho = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
+    ew = np.linalg.eigvalsh(inner)
+    value = float(np.sum(np.sqrt(np.clip(ew, 0.0, None)))) ** 2
+    return min(max(value, 0.0), 1.0)
+
+
+def trace_distance(a, b):
+    """Trace distance (1/2)||a - b||_1 between two Hermitian matrices."""
+    ew = np.linalg.eigvalsh(a.matrix - b.matrix)
+    return 0.5 * float(np.sum(np.abs(ew)))
+
+
+def partial_trace(rho, keep):
+    """Trace out one qubit of a 2-qubit state, keeping the 1-based index 'keep'."""
+    if rho.num_qubits != 2:
+        raise ValueError("partial_trace expects a 2-qubit state")
+    if keep not in (1, 2):
+        raise ValueError("keep must be 1 or 2")
+    t = rho.matrix.reshape(2, 2, 2, 2)
+    reduced = np.einsum("ikjk->ij", t) if keep == 1 else np.einsum("kikj->ij", t)
+    return DensityMatrix(1, reduced)
+
+
+def stokes(rho):
+    """Pauli expectation values of a 1- or 2-qubit state.
+
+    One qubit: (<X>, <Y>, <Z>). Two qubits: 15 values for every Pauli pair
+    (P, Q) != (I, I) in row-major order over (I, X, Y, Z):
+    IX, IY, IZ, XI, XX, XY, XZ, YI, YX, ..., ZZ.
+    """
+    paulis = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
+    if rho.num_qubits == 1:
+        return tuple(float(np.real(np.trace(p @ rho.matrix))) for p in paulis[1:])
+    if rho.num_qubits == 2:
+        values = []
+        for i, p in enumerate(paulis):
+            for j, q in enumerate(paulis):
+                if i == j == 0:
+                    continue
+                values.append(float(np.real(np.trace(np.kron(p, q) @ rho.matrix))))
+        return tuple(values)
+    raise ValueError("stokes supports 1- or 2-qubit states")
+
+
+# ---------------------------------------------------------------------------
+# Optics
+# ---------------------------------------------------------------------------
+
+
+def recipe_state(prepared):
+    """Run a PreparedInput's wave plates on |H> (cross-checks prepare_input)."""
+    amps = _composed(prepared.qwp_angle, prepared.hwp_angle) @ np.array([1.0, 0.0], dtype=complex)
+    return PureState(1, amps)
+
+
+def analyzed_state(setting):
+    """The pure state an analyzer setting projects onto."""
+    w = _composed(setting.qwp_angle, setting.hwp_angle)
+    port_index = 0 if setting.port == TRANSMITTED else 1
+    return PureState(1, w.conj().T[:, port_index])
+
+
+# The six Pauli eigenstates that optics.ANALYZER_SETTINGS select.
+KET_H = PureState(1, [1.0, 0.0])
+KET_V = PureState(1, [0.0, 1.0])
+KET_D = PureState(1, [1.0, 1.0])
+KET_A = PureState(1, [1.0, -1.0])
+KET_L = PureState(1, [1.0, 1.0j])
+KET_R = PureState(1, [1.0, -1.0j])
+
+PAULI_EIGENSTATES = {"H": KET_H, "V": KET_V, "D": KET_D, "A": KET_A, "R": KET_R, "L": KET_L}
+
+
+# ---------------------------------------------------------------------------
+# Teleport
+# ---------------------------------------------------------------------------
+
+
+def z_outcome_probabilities(psi):
+    """Exact Z statistics of either qubit of the width-2 encoded state.
+
+    (1/2, 1/2) for every payload: the code hides the logical amplitudes from
+    single-qubit Z measurements.
+    """
+    register = parity_extend(psi, 2).density()
+    p0, _ = conditional_state(register, 1, 0)
+    p1, _ = conditional_state(register, 1, 1)
+    return p0, p1

@@ -346,6 +346,17 @@ class TestMain:
             {"targets": 5},
             {"targets": [0.9, 0.9]},
             {"targets": [0.9, "x", 0.9]},
+            {"shots": [1]},
+            {"shots": 100.0},
+            {"shots": True},
+            {"seed": 1.7},
+            {"seed": "3"},
+            {"budget": 50.5},
+            {"budget": False},
+            {"exact": "no"},
+            {"exact": 1},
+            {"plots": "yes"},
+            {"scheme": 5},
         ],
     )
     def test_bad_config_values_fail_cleanly(self, tmp_path, capsys, values):
@@ -356,6 +367,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_bad_config_out_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # no --out flag, so the file's out is the one that is used
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({"out": 5}))
+        code = main(["table1", "--config", "run.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_config_file_scalars_are_used(self, tmp_path):
+        values = {"shots": 300, "seed": 4, "budget": 50, "exact": True, "plots": True}
+        values.update(out="res", scheme="overcomplete")
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(values))
+        cfg = build_config("calibrate", _parse(["calibrate", "--config", str(cfg_file)]))
+        resolved = cfg.to_dict()
+        assert {key: resolved[key] for key in values} == values
 
     def test_repeated_calls_do_not_leak_flags(self, tmp_path, capsys):
         assert main(["table1", "--ideal", "--out", str(tmp_path / "a")]) == 0

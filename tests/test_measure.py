@@ -147,6 +147,12 @@ class TestCountRecord:
         with pytest.raises(ValueError):
             CountRecord(setting, 1, 0)
 
+    @pytest.mark.parametrize("count", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_count(self, count):
+        setting = tomo_settings(1, MINIMAL)[0]
+        with pytest.raises(ValueError, match="finite"):
+            CountRecord(setting, count, 100)
+
 
 class TestSerialization:
     def test_round_trip_two_qubit(self, tmp_path):
@@ -202,4 +208,14 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("nope,really\n1,2\n")
         with pytest.raises(ValueError):
+            read_count_records(path)
+
+    def test_rejects_non_finite_count_on_read(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        rho = pure_state([1, 0]).density()
+        write_count_records(expected_counts(rho, tomo_settings(1, MINIMAL), 100), path)
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:-2] + ["nan", "100"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="finite"):
             read_count_records(path)

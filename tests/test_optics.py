@@ -3,23 +3,20 @@
 import numpy as np
 import pytest
 
+from oracles import PAULI_EIGENSTATES, analyzed_state, recipe_state
 from parityqec.optics import (
     ANALYZER_SETTINGS,
     HWP,
-    PAULI_EIGENSTATES,
     PHI_FAMILY,
     QWP,
     REFLECTED,
     THETA_FAMILY,
     AnalyzerSetting,
     WaveplateSetting,
-    analyzed_state,
     analyzer_projector,
     prepare_input,
-    recipe_state,
     waveplate,
 )
-from parityqec.qcore import fidelity
 
 
 def ray_overlap(psi, phi):
@@ -32,28 +29,28 @@ class TestWaveplates:
         rng = np.random.default_rng(7)
         for angle in rng.uniform(0, 180, size=200):
             for kind in (HWP, QWP):
-                u = waveplate(WaveplateSetting(kind, angle)).matrix
+                u = waveplate(WaveplateSetting(kind, angle))
                 np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     def test_hwp_is_involution_up_to_phase(self):
         for angle in np.arange(0, 180, 7.5):
-            u = waveplate(WaveplateSetting(HWP, angle)).matrix
+            u = waveplate(WaveplateSetting(HWP, angle))
             sq = u @ u
             np.testing.assert_allclose(sq, sq[0, 0] * np.eye(2), atol=1e-12)
             assert abs(abs(sq[0, 0]) - 1.0) < 1e-12
 
     def test_hwp_22_5_makes_diagonal_from_h(self):
-        u = waveplate(WaveplateSetting(HWP, 22.5)).matrix
+        u = waveplate(WaveplateSetting(HWP, 22.5))
         out = u @ np.array([1.0, 0.0])
         np.testing.assert_allclose(out, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
 
     def test_hwp_0_flips_sign_of_v(self):
-        u = waveplate(WaveplateSetting(HWP, 0.0)).matrix
+        u = waveplate(WaveplateSetting(HWP, 0.0))
         np.testing.assert_allclose(u @ np.array([0.0, 1.0]), [0.0, -1.0], atol=1e-12)
 
     def test_qwp_45_makes_circular_from_h(self):
         # the convention fixes the sign: (|H> - i|V>)/sqrt(2)
-        u = waveplate(WaveplateSetting(QWP, 45.0)).matrix
+        u = waveplate(WaveplateSetting(QWP, 45.0))
         out = u @ np.array([1.0, 0.0])
         np.testing.assert_allclose(np.abs(out), [1 / np.sqrt(2)] * 2, atol=1e-12)
         np.testing.assert_allclose(out[1] / out[0], -1j, atol=1e-12)
@@ -111,11 +108,11 @@ class TestPrepareInput:
 
 class TestAnalyzer:
     def test_h_setting(self):
-        proj = analyzer_projector(AnalyzerSetting(0.0, 0.0)).matrix
+        proj = analyzer_projector(AnalyzerSetting(0.0, 0.0))
         np.testing.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_d_setting(self):
-        proj = analyzer_projector(AnalyzerSetting(0.0, 22.5)).matrix
+        proj = analyzer_projector(AnalyzerSetting(0.0, 22.5))
         np.testing.assert_allclose(proj, np.full((2, 2), 0.5), atol=1e-12)
 
     @pytest.mark.parametrize("label", ["H", "V", "D", "A", "R", "L"])
@@ -123,7 +120,7 @@ class TestAnalyzer:
         proj = analyzer_projector(ANALYZER_SETTINGS[label])
         target = PAULI_EIGENSTATES[label]
         value = np.real(
-            target.amplitudes.conj() @ proj.matrix @ target.amplitudes
+            target.amplitudes.conj() @ proj @ target.amplitudes
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -131,7 +128,7 @@ class TestAnalyzer:
         rng = np.random.default_rng(11)
         for _ in range(50):
             s = AnalyzerSetting(rng.uniform(0, 180), rng.uniform(0, 180))
-            p = analyzer_projector(s).matrix
+            p = analyzer_projector(s)
             np.testing.assert_allclose(p @ p, p, atol=1e-12)
             assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
 
@@ -139,9 +136,15 @@ class TestAnalyzer:
         rng = np.random.default_rng(13)
         for _ in range(50):
             q, h = rng.uniform(0, 180, size=2)
-            pt = analyzer_projector(AnalyzerSetting(q, h, "transmitted")).matrix
-            pr = analyzer_projector(AnalyzerSetting(q, h, REFLECTED)).matrix
+            pt = analyzer_projector(AnalyzerSetting(q, h, "transmitted"))
+            pr = analyzer_projector(AnalyzerSetting(q, h, REFLECTED))
             np.testing.assert_allclose(pt + pr, np.eye(2), atol=1e-12)
+
+    def test_plates_and_projectors_are_read_only_arrays(self):
+        for mat in (waveplate(WaveplateSetting(QWP, 30.0)), analyzer_projector(ANALYZER_SETTINGS["R"])):
+            assert isinstance(mat, np.ndarray) and mat.shape == (2, 2)
+            with pytest.raises(ValueError):
+                mat[0, 0] = 0.0
 
     def test_circular_settings_are_orthogonal(self):
         r = analyzed_state(ANALYZER_SETTINGS["R"])
@@ -152,6 +155,6 @@ class TestAnalyzer:
         # prepare D via the theta recipe and analyze with the D setting
         prep = prepare_input(THETA_FAMILY, 45.0)
         state = recipe_state(prep)
-        proj = analyzer_projector(ANALYZER_SETTINGS["D"]).matrix
+        proj = analyzer_projector(ANALYZER_SETTINGS["D"])
         value = np.real(state.amplitudes.conj() @ proj @ state.amplitudes)
         assert value == pytest.approx(1.0, abs=1e-12)

@@ -3,26 +3,28 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    Operator,
+    apply_to_pure,
+    apply_unitary,
+    fidelity_mixed,
+    partial_trace,
+    stokes,
+    trace_distance,
+)
 from parityqec.qcore import (
     DensityMatrix,
     HermitianMatrix,
     ImpossibleOutcomeError,
-    Operator,
     PAULI_X,
     PureState,
-    apply_to_pure,
-    apply_unitary,
     conditional_state,
     density_matrix_from_dict,
     density_matrix_to_dict,
     fidelity,
-    fidelity_mixed,
     kron,
-    partial_trace,
     pure_state,
     single_qubit_operator,
-    stokes,
-    trace_distance,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -93,6 +95,11 @@ class TestDensityMatrix:
 
 
 class TestOperations:
+    @pytest.mark.parametrize("amplitudes", [[], [1.0, 0.0, 0.0]])
+    def test_pure_state_rejects_non_power_of_two_counts(self, amplitudes):
+        with pytest.raises(ValueError, match="power of two"):
+            pure_state(amplitudes)
+
     def test_kron_ordering(self):
         # qubit 1 is the leftmost factor: |1> kron |0> = |10> = index 2
         psi = kron(PureState(1, [0, 1]), PureState(1, [1, 0]))

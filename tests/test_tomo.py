@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parityqec.measure import (
     MINIMAL,
     OVERCOMPLETE,
     CountRecord,
     expected_counts,
+    setting_projector,
     simulate_counts,
     tomo_settings,
 )
-from parityqec.qcore import DensityMatrix, PureState, fidelity, pure_state, trace_distance
+from oracles import trace_distance
+from parityqec.qcore import DensityMatrix, PureState, fidelity, pure_state
 from parityqec import tomo
 from parityqec.tomo import TomographyResult, linear_inversion, mle
 
@@ -172,3 +176,94 @@ class TestLikelihoodMonotonicity:
         counts = simulate_counts(rho, tomo_settings(2, OVERCOMPLETE), 1000, seed=8)
         lls = [mle(counts, max_iter=k).log_likelihood for k in (1, 2, 5, 10, 50, 200)]
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
+
+
+@st.composite
+def count_records(draw):
+    """Counts of a random 1- or 2-qubit state under either scheme.
+
+    The state mixes a random pure state with a random density matrix; the
+    counts are Poisson samples or, for a pure state, the exact means, whose
+    optimum sits on the boundary with zero-probability projectors.
+    """
+    num_qubits = draw(st.sampled_from([1, 2]))
+    scheme = draw(st.sampled_from([MINIMAL, OVERCOMPLETE]))
+    shots = draw(st.integers(5, 20_000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    purity = draw(st.sampled_from([1.0, 0.9, 0.5, 0.0]))
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    dim = 2**num_qubits
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mixed = a @ a.conj().T
+    rho = purity * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    rho = DensityMatrix(num_qubits, rho + (1 - purity) * mixed / np.trace(mixed).real)
+    settings_list = tomo_settings(num_qubits, scheme)
+    if exact and purity == 1.0:
+        return expected_counts(rho, settings_list, shots)
+    counts = simulate_counts(rho, settings_list, shots, seed=seed)
+    assume(sum(rec.count for rec in counts) > 0)
+    return counts
+
+
+def recomputed_gap(rho, counts):
+    """The Frank-Wolfe gap lambda_max(G) - N of rho, rebuilt from the projectors.
+
+    The projectors, weighted by shots / max shots, are whitened by their sum
+    S; sigma = S^1/2 rho S^1/2 / Tr and G = sum_k n_k T_k / Tr(T_k sigma) over
+    the settings with counts (one without adds nothing).
+    """
+    n = np.array([float(rec.count) for rec in counts])
+    shots = np.array([float(rec.shots_nominal) for rec in counts])
+    projectors = np.stack(
+        [w * setting_projector(rec.setting) for w, rec in zip(shots / shots.max(), counts)]
+    )
+    ew, ev = np.linalg.eigh(projectors.sum(axis=0))
+    s_half = (ev * np.sqrt(ew)) @ ev.conj().T
+    s_inv_half = (ev / np.sqrt(ew)) @ ev.conj().T
+    whitened = (s_inv_half @ projectors @ s_inv_half)[n > 0]
+    sigma = s_half @ rho.matrix @ s_half
+    sigma /= np.trace(sigma).real
+    probs = np.einsum("kij,ji->k", whitened, sigma).real
+    g = np.einsum("k,kij->ij", n[n > 0] / probs, whitened)
+    return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1] - n.sum())
+
+
+MLE_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+GAP_TOL = 1e-6
+
+
+class TestMleProperties:
+    @MLE_PROPERTY
+    @given(count_records())
+    def test_output_is_a_density_matrix(self, counts):
+        rho = mle(counts).rho.matrix
+        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+    @MLE_PROPERTY
+    @given(count_records())
+    def test_trajectory_is_monotone(self, counts):
+        result = mle(counts)
+        trajectory = result.trajectory
+        assert len(trajectory) == result.iterations + 1
+        assert trajectory[-1] == result.log_likelihood
+        assert all(b >= a for a, b in zip(trajectory, trajectory[1:]))
+
+    @MLE_PROPERTY
+    @given(count_records(), st.sampled_from([3, tomo.DEFAULT_MAX_ITER]))
+    def test_converged_means_the_gap_is_within_tol(self, counts, max_iter):
+        # a low cap leaves some runs unconverged; the claim must hold either way
+        result = mle(counts, tol=GAP_TOL, max_iter=max_iter)
+        if result.converged:
+            assert recomputed_gap(result.rho, counts) <= GAP_TOL
+
+    @MLE_PROPERTY
+    @given(count_records())
+    def test_no_iterations_exactly_when_the_warm_start_certifies(self, counts):
+        warm = mle(counts, tol=GAP_TOL, max_iter=0)
+        certifies = recomputed_gap(warm.rho, counts) <= GAP_TOL
+        assert warm.iterations == 0 and warm.converged == certifies
+        assert (mle(counts, tol=GAP_TOL).iterations == 0) == certifies
