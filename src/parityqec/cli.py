@@ -47,6 +47,7 @@ from .qcore import (
     DensityMatrix,
     PureState,
     _check_density,
+    _fidelity_batch,
     kron,
     save_density_matrix,
 )
@@ -269,19 +270,11 @@ def _encode_all(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
     return probs, encoded
 
 
-def _fidelities(kets: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<psi|rho|psi> of each ket (..., d) with its state (..., d, d), clipped to [0, 1].
-
-    The leading axes broadcast, so one call scores a whole stack.
-    """
-    values = np.einsum("...a,...ab,...b->...", kets.conj(), states, kets)
-    return np.clip(np.real(values), 0.0, 1.0)
-
-
 def run_table1(config: RunConfig) -> dict:
     """Encoder truth table: success probability and fidelity per input."""
+    _, _, _, codes = _pipeline_inputs()
     probs, encoded = _encode_all(config.resolved_noise())
-    fids = _fidelities(_pipeline_inputs()[3], encoded)
+    fids = _fidelity_batch(codes, encoded)
     rows = []
     out = config.out_dir
     for idx, (label, _) in enumerate(REFERENCE_INPUTS):
@@ -320,9 +313,10 @@ def _fig2_cells(config: RunConfig) -> list[dict]:
 
 def run_fig2(config: RunConfig) -> dict:
     """2-qubit tomography survey of the six encoded reference states."""
+    _, _, _, codes = _pipeline_inputs()
     cells = _fig2_cells(config)
     rhos = np.stack([cell["tomography"].rho.matrix for cell in cells])
-    fids = _fidelities(_pipeline_inputs()[3][: len(cells)], rhos)
+    fids = _fidelity_batch(codes[: len(cells)], rhos)
     out = config.out_dir
     rows = []
     for cell, fid in zip(cells, fids):
@@ -357,9 +351,10 @@ def run_fig2(config: RunConfig) -> dict:
 
 def run_fig3(config: RunConfig) -> dict:
     """Decode the fig2 reconstructions by each of the four Z measurements."""
+    _, payloads, _, _ = _pipeline_inputs()
     cells = _fig2_cells(config)
     probs, decoded = _decode_batch(np.stack([cell["tomography"].rho.matrix for cell in cells]))
-    fids = _fidelities(_pipeline_inputs()[1][: len(cells), None, None], decoded)
+    fids = _fidelity_batch(payloads[: len(cells), None, None], decoded)
     out = config.out_dir
     rows = []
     imag_rows = []
@@ -415,7 +410,7 @@ def run_fig4(config: RunConfig) -> dict:
     settings = tomo_settings(1, config.scheme)
     out = config.out_dir
     cells, payloads, _, _ = _pipeline_inputs()
-    cell_rows, rhos = [], []
+    rows = []
     for idx, (label, family, angle, _) in enumerate(cells):
         for qubit in (1, 2):
             for outcome in (0, 1):
@@ -425,13 +420,10 @@ def run_fig4(config: RunConfig) -> dict:
                 else:
                     seed = _cell_seed(config.seed, 4, idx, qubit, outcome)
                     counts = simulate_counts(state, settings, config.shots, seed=seed)
-                rhos.append(mle(counts).rho.matrix)
+                fid = float(_fidelity_batch(payloads[idx], mle(counts).rho.matrix))
                 prob = float(probs[idx, qubit - 1, outcome])
                 angle_field = "" if angle is None else angle
-                cell_rows.append((label, family, angle_field, qubit, outcome, prob))
-    # rows run over (input, qubit, outcome) in C order, as decoded does
-    fids = _fidelities(payloads[:, None, None], np.reshape(rhos, decoded.shape)).reshape(-1)
-    rows = [(*row, float(fid)) for row, fid in zip(cell_rows, fids)]
+                rows.append((label, family, angle_field, qubit, outcome, prob, fid))
     sweep_fids = [r[6] for r in rows if r[1] != "reference"]
     mean, sd = _mean_sd(sweep_fids)
     full_mean, _ = _mean_sd([r[6] for r in rows])
@@ -529,12 +521,12 @@ def exact_pipeline_means(noise: NoiseModel | None) -> tuple[float, float, float]
 
     All 22 inputs are encoded in one batched contraction (_encode_all) and
     decoded by all four Z measurements at once (codec._decode_batch), and
-    each stack of fidelities is one _fidelities call.
+    each stack of fidelities is one qcore._fidelity_batch call.
     """
     _, payloads, _, codes = _pipeline_inputs()
     encoded = _encode_all(noise)[1]
-    encoded_fids = _fidelities(codes, encoded)
-    decoded_fids = _fidelities(payloads[:, None, None], _decode_batch(encoded)[1])
+    encoded_fids = _fidelity_batch(codes, encoded)
+    decoded_fids = _fidelity_batch(payloads[:, None, None], _decode_batch(encoded)[1])
     n_ref = len(REFERENCE_INPUTS)
     return (
         float(np.mean(encoded_fids[:n_ref])),

@@ -159,6 +159,15 @@ def single_qubit_operator(op: np.ndarray, qubit: int, num_qubits: int) -> np.nda
 # Core operations
 # ---------------------------------------------------------------------------
 
+def _fidelity_batch(kets: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<psi|rho|psi> of each ket (..., d) with its state (..., d, d), clipped to [0, 1].
+
+    The leading axes broadcast, so one call scores a whole stack.
+    """
+    values = np.einsum("...a,...ab,...b->...", kets.conj(), states, kets)
+    return np.clip(np.real(values), 0.0, 1.0)
+
+
 def fidelity(rho: DensityMatrix, target: PureState) -> float:
     """Fidelity <psi|rho|psi> of a state with a pure target.
 
@@ -167,9 +176,7 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
     """
     if rho.num_qubits != target.num_qubits:
         raise ValueError("dimension mismatch between state and target")
-    v = target.amplitudes
-    value = float(np.real(v.conj() @ rho.matrix @ v))
-    return min(max(value, 0.0), 1.0)
+    return float(_fidelity_batch(target.amplitudes, rho.matrix))
 
 
 def conditional_state(rho: DensityMatrix, measured: int, outcome: int) -> tuple[float, DensityMatrix]:
