@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -34,20 +34,13 @@ from scipy.optimize import least_squares
 from . import __version__
 from .cnotgate import NoiseModel, _noisy_cnot_batch
 from .codec import _CONTROL_PLUS, _decode_batch, ideal_encoded
-from .measure import (
-    MINIMAL,
-    OVERCOMPLETE,
-    expected_counts,
-    simulate_counts,
-    tomo_settings,
-    write_count_records,
-)
+from .measure import MINIMAL, OVERCOMPLETE, _counts, tomo_settings, write_count_records
 from .optics import PHI_FAMILY, THETA_FAMILY, prepare_input
 from .qcore import (
-    DensityMatrix,
     PureState,
     _check_density,
     _fidelity_batch,
+    _save_matrix,
     kron,
     save_density_matrix,
 )
@@ -81,19 +74,25 @@ CALIBRATION_TOLERANCE = 0.05
 _CUBE_CORNERS = tuple(itertools.product((1.0, 0.0), repeat=3))
 # a start whose cost 0.5 * sum(residual^2) is at most this met the targets
 _EXACT_COST = 1e-24
-# the JSON type each scalar config-file value must have (an int is no bool)
-_FILE_TYPES = dict(shots=int, seed=int, budget=int, exact=bool, plots=bool, out=str, scheme=str)
+# the type each scalar RunConfig field must have (an int is no bool)
+_FIELD_TYPES = dict(shots=int, seed=int, budget=int, exact=bool, plots=bool, scheme=str)
 
 
 class ConfigError(ValueError):
     """The run configuration is malformed."""
 
 
+def load_default_noise() -> NoiseModel:
+    """The packaged noise model fitted to the target pipeline means."""
+    text = resources.files("parityqec").joinpath("data/default_noise.json").read_text()
+    return NoiseModel.from_dict(json.loads(text)["noise"])
+
+
 @dataclass(frozen=True)
 class RunConfig:
     experiment: str
-    noise: NoiseModel | None = None  # None means the ideal gate
-    use_default_noise: bool = True  # noise=None + True pulls the packaged model
+    # the encoding gate of table1 and fig2-4; None means the ideal gate
+    noise: NoiseModel | None = field(default_factory=load_default_noise)
     shots: int = 10_000
     seed: int = 0
     scheme: str = MINIMAL
@@ -106,6 +105,10 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for key, kind in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if type(value) is not kind:
+                raise ConfigError(f"{key} must be {kind.__name__}; got {value!r}")
         if self.shots < 1:
             raise ConfigError("shots must be at least 1")
         if self.seed < 0:
@@ -115,19 +118,11 @@ class RunConfig:
         if self.budget < 10:
             raise ConfigError("budget too small to search at all")
 
-    def resolved_noise(self) -> NoiseModel | None:
-        if self.noise is not None:
-            return self.noise
-        if self.use_default_noise:
-            return load_default_noise()
-        return None
-
     def to_dict(self) -> dict:
         if self.experiment in ("teleport", "calibrate"):
             noise = "unused"
         else:
-            resolved = self.resolved_noise()
-            noise = "ideal" if resolved is None else resolved.to_dict()
+            noise = "ideal" if self.noise is None else self.noise.to_dict()
         return {
             "experiment": self.experiment,
             "noise": noise,
@@ -140,12 +135,6 @@ class RunConfig:
             "targets": list(self.targets),
             "budget": self.budget,
         }
-
-
-def load_default_noise() -> NoiseModel:
-    """The packaged noise model fitted to the target pipeline means."""
-    text = resources.files("parityqec").joinpath("data/default_noise.json").read_text()
-    return NoiseModel.from_dict(json.loads(text)["noise"])
 
 
 def _cell_seed(base: int, *key: int) -> int:
@@ -247,9 +236,10 @@ def _pipeline_inputs() -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
             psi = prepare_input(family, angle).state
             cells.append((f"{family}{angle}", family, float(angle), psi))
     payloads = [psi for *_, psi in cells]
+    joint = np.stack([kron(_CONTROL_PLUS, psi).amplitudes for psi in payloads])
     arrays = (
         np.stack([psi.amplitudes for psi in payloads]),
-        np.stack([kron(_CONTROL_PLUS, psi).density().matrix for psi in payloads]),
+        joint[:, :, None] * joint[:, None, :].conj(),
         np.stack([ideal_encoded(psi).amplitudes for psi in payloads]),
     )
     for arr in arrays:
@@ -273,14 +263,13 @@ def _encode_all(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
 def run_table1(config: RunConfig) -> dict:
     """Encoder truth table: success probability and fidelity per input."""
     _, _, _, codes = _pipeline_inputs()
-    probs, encoded = _encode_all(config.resolved_noise())
+    probs, encoded = _encode_all(config.noise)
     fids = _fidelity_batch(codes, encoded)
     rows = []
     out = config.out_dir
     for idx, (label, _) in enumerate(REFERENCE_INPUTS):
         rows.append((label, float(probs[idx]), float(fids[idx])))
-        state = DensityMatrix(2, encoded[idx])
-        save_density_matrix(state, _prepared(out / "table1_states" / f"{label}.json"))
+        _save_matrix(encoded[idx], _prepared(out / "table1_states" / f"{label}.json"))
     lines = _header_lines(config) + ["", "encoder outputs (success probability, fidelity vs ideal code):"]
     lines += [f"  {label}: p={p:.6f} F={f:.6f}" for label, p, f in rows]
     _write_csv(out / "table1.csv", ("input", "success_prob", "fidelity"), rows)
@@ -288,18 +277,19 @@ def run_table1(config: RunConfig) -> dict:
     return {"rows": rows, "summary": out / "table1_summary.txt"}
 
 
+def _cell_counts(config: RunConfig, state: np.ndarray, settings, *key: int) -> list:
+    """A checked cell state's counts: exact means, or sampled from the cell's seed."""
+    seed = None if config.exact else _cell_seed(config.seed, *key)
+    return _counts(state, settings, config.shots, seed)
+
+
 def _fig2_cells(config: RunConfig) -> list[dict]:
     """Count and reconstruct the encoded state of each reference input."""
-    probs, encoded = _encode_all(config.resolved_noise())
+    probs, encoded = _encode_all(config.noise)
     settings = tomo_settings(2, config.scheme)
     cells = []
     for idx, (label, _) in enumerate(REFERENCE_INPUTS):
-        state = DensityMatrix(2, encoded[idx])
-        if config.exact:
-            counts = expected_counts(state, settings, config.shots)
-        else:
-            seed = _cell_seed(config.seed, 2, idx)
-            counts = simulate_counts(state, settings, config.shots, seed=seed)
+        counts = _cell_counts(config, encoded[idx], settings, 2, idx)
         cells.append(
             {
                 "label": label,
@@ -362,14 +352,14 @@ def run_fig3(config: RunConfig) -> dict:
         label = cell["label"]
         for qubit in (1, 2):
             for outcome in (0, 1):
-                state = DensityMatrix(1, decoded[idx, qubit - 1, outcome])
+                state = decoded[idx, qubit - 1, outcome]
                 fid = float(fids[idx, qubit - 1, outcome])
-                mean_abs_imag = float(np.mean(np.abs(state.matrix.imag)))
+                mean_abs_imag = float(np.mean(np.abs(state.imag)))
                 prob = float(probs[idx, qubit - 1, outcome])
                 rows.append((label, qubit, outcome, prob, fid, mean_abs_imag))
                 if label in REAL_INPUT_LABELS:
                     imag_rows.append(mean_abs_imag)
-                save_density_matrix(
+                _save_matrix(
                     state, _prepared(out / "fig3_states" / f"{label}_q{qubit}_{outcome}.json")
                 )
     mean, sd = _mean_sd([row[4] for row in rows])
@@ -406,7 +396,7 @@ def run_fig3(config: RunConfig) -> dict:
 
 def run_fig4(config: RunConfig) -> dict:
     """Direct conditioned 1-qubit tomography across the two input sweeps."""
-    probs, decoded = _decode_batch(_encode_all(config.resolved_noise())[1])
+    probs, decoded = _decode_batch(_encode_all(config.noise)[1])
     settings = tomo_settings(1, config.scheme)
     out = config.out_dir
     cells, payloads, _, _ = _pipeline_inputs()
@@ -414,12 +404,8 @@ def run_fig4(config: RunConfig) -> dict:
     for idx, (label, family, angle, _) in enumerate(cells):
         for qubit in (1, 2):
             for outcome in (0, 1):
-                state = DensityMatrix(1, decoded[idx, qubit - 1, outcome])
-                if config.exact:
-                    counts = expected_counts(state, settings, config.shots)
-                else:
-                    seed = _cell_seed(config.seed, 4, idx, qubit, outcome)
-                    counts = simulate_counts(state, settings, config.shots, seed=seed)
+                state = decoded[idx, qubit - 1, outcome]
+                counts = _cell_counts(config, state, settings, 4, idx, qubit, outcome)
                 fid = float(_fidelity_batch(payloads[idx], mle(counts).rho.matrix))
                 prob = float(probs[idx, qubit - 1, outcome])
                 angle_field = "" if angle is None else angle
@@ -690,23 +676,23 @@ def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
         file_values = json.loads(Path(args.config).read_text())
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, value in file_values.items():
-            kind = _FILE_TYPES.get(key)
-            if kind is not None and type(value) is not kind:
-                raise ConfigError(f"config {key} must be {kind.__name__}; got {value!r}")
+        # RunConfig checks the other scalars; out becomes a Path before it sees it
+        if type(file_values.get("out", "")) is not str:
+            raise ConfigError(f"config out must be str; got {file_values['out']!r}")
 
     def pick(flag_value, key, default):
         if flag_value is not None:
             return flag_value
         return file_values.get(key, default)
 
-    noise, use_default = None, False
     if args.noise is not None:
         noise = _parse_noise(args.noise, "--noise")
-    elif "noise" in file_values and not args.ideal:
+    elif args.ideal:
+        noise = None
+    elif "noise" in file_values:
         noise = _parse_noise(file_values["noise"], "config noise")
     else:
-        use_default = not args.ideal
+        noise = load_default_noise()
 
     targets = DEFAULT_TARGETS
     if getattr(args, "targets", None) is not None:
@@ -719,7 +705,6 @@ def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         experiment=experiment,
         noise=noise,
-        use_default_noise=use_default,
         shots=pick(args.shots, "shots", 10_000),
         seed=pick(args.seed, "seed", 0),
         scheme=pick(args.scheme, "scheme", MINIMAL),

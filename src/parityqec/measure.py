@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,14 +111,50 @@ def setting_projector(setting: MeasurementSetting) -> np.ndarray:
     return proj
 
 
+@lru_cache(maxsize=64)
+def _projector_stack(settings: tuple[MeasurementSetting, ...]) -> np.ndarray:
+    """The (k, d, d) projectors of a setting tuple, built once and read-only.
+
+    Equal setting tuples share one stack, so every count and reconstruction
+    of a setting list reads the same projectors.
+    """
+    stack = np.stack([setting_projector(setting) for setting in settings])
+    stack.flags.writeable = False
+    return stack
+
+
+def _counts(
+    matrix: np.ndarray, settings, shots: int, seed: int | None = None
+) -> list[CountRecord]:
+    """One count per setting for an already-validated state matrix.
+
+    seed=None gives the exact Poisson means; otherwise record k is drawn from
+    the substream SeedSequence(entropy=seed, spawn_key=(k,)).
+    """
+    settings = tuple(settings)
+    if any(2**setting.num_qubits != matrix.shape[0] for setting in settings):
+        raise ValueError("setting and state dimensions differ")
+    if not settings:
+        return []
+    probs = np.real(np.trace(_projector_stack(settings) @ matrix, axis1=1, axis2=2))
+    outside = (probs < -1e-10) | (probs > 1 + 1e-10)
+    if outside.any():
+        raise ValueError(f"projector probability {probs[outside][0]} outside [0, 1]")
+    means = [shots * p for p in np.clip(probs, 0.0, 1.0).tolist()]
+    if seed is None:
+        return [CountRecord(s, mean, shots) for s, mean in zip(settings, means)]
+    records = []
+    for k, (setting, mean) in enumerate(zip(settings, means)):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        )
+        records.append(CountRecord(setting, int(rng.poisson(mean)), shots))
+    return records
+
+
 def outcome_probability(rho: DensityMatrix, setting: MeasurementSetting) -> float:
     """Tr(rho Pi) for one setting, clipped to [0, 1]."""
-    if 2**setting.num_qubits != rho.matrix.shape[0]:
-        raise ValueError("setting and state dimensions differ")
-    p = float(np.real(np.trace(setting_projector(setting) @ rho.matrix)))
-    if p < -1e-10 or p > 1 + 1e-10:
-        raise ValueError(f"projector probability {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    return _counts(rho.matrix, (setting,), 1)[0].count
 
 
 def simulate_counts(
@@ -127,24 +164,14 @@ def simulate_counts(
     seed: int = 0,
 ) -> list[CountRecord]:
     """Poisson-sample one count per setting, deterministically in the seed."""
-    records = []
-    for k, setting in enumerate(settings):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        )
-        mean = shots * outcome_probability(rho, setting)
-        records.append(CountRecord(setting, int(rng.poisson(mean)), shots))
-    return records
+    return _counts(rho.matrix, settings, shots, seed)
 
 
 def expected_counts(
     rho: DensityMatrix, settings: list[MeasurementSetting], shots: int = 10_000
 ) -> list[CountRecord]:
     """Exact-probability (infinite-statistics) counts: the Poisson means."""
-    return [
-        CountRecord(setting, shots * outcome_probability(rho, setting), shots)
-        for setting in settings
-    ]
+    return _counts(rho.matrix, settings, shots)
 
 
 # ---------------------------------------------------------------------------

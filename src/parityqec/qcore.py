@@ -123,9 +123,6 @@ class HermitianMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.matrix)))
-
 
 # ---------------------------------------------------------------------------
 # Construction helpers
@@ -220,9 +217,13 @@ def conditional_state(rho: DensityMatrix, measured: int, outcome: int) -> tuple[
 
 def density_matrix_to_dict(rho: DensityMatrix | HermitianMatrix) -> dict:
     """Serialize as {"num_qubits": n, "re": row-major, "im": row-major}."""
-    flat = rho.matrix.reshape(-1)
+    return _matrix_to_dict(rho.matrix)
+
+
+def _matrix_to_dict(matrix: np.ndarray) -> dict:
+    flat = matrix.reshape(-1)
     return {
-        "num_qubits": rho.num_qubits,
+        "num_qubits": matrix.shape[0].bit_length() - 1,
         "re": [float(x) for x in flat.real],
         "im": [float(x) for x in flat.imag],
     }
@@ -236,8 +237,13 @@ def density_matrix_from_dict(data: dict) -> DensityMatrix:
 
 
 def save_density_matrix(rho: DensityMatrix | HermitianMatrix, path) -> None:
+    _save_matrix(rho.matrix, path)
+
+
+def _save_matrix(matrix: np.ndarray, path) -> None:
+    """Write a (d, d) matrix that a batch check has already validated."""
     with open(path, "w") as fh:
-        json.dump(density_matrix_to_dict(rho), fh, indent=1)
+        json.dump(_matrix_to_dict(matrix), fh, indent=1)
         fh.write("\n")
 
 

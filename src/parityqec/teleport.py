@@ -134,37 +134,6 @@ def simulate_teleport(alpha: complex, beta: complex, n: int, seed: int = 0) -> T
     )
 
 
-def teleport_trajectory(psi: PureState, decisions) -> TeleportOutcome:
-    """Replay a forced decision sequence (for analysis and tests).
-
-    decisions: iterable of ("fail", z) or ("success", bell_label) tuples,
-    consumed one per attempt.
-    """
-    queue = list(decisions)
-
-    def next_decision():
-        if not queue:
-            raise ValueError("decision sequence exhausted before the protocol ended")
-        return queue[0]
-
-    def decide_success():
-        return next_decision()[0] == "success"
-
-    def decide_z(_p0):
-        kind, value = queue.pop(0)
-        if kind != "fail":
-            raise ValueError("expected a failure decision")
-        return value
-
-    def decide_bell():
-        kind, value = queue.pop(0)
-        if kind != "success":
-            raise ValueError("expected a success decision")
-        return value
-
-    return _run(psi, decide_success, decide_z, decide_bell)
-
-
 def monte_carlo_success(n: int, code_width: int, trials: int, seed: int = 0) -> float:
     """Monte Carlo estimate of encoded_teleport_success by direct sampling."""
     if trials < 1:

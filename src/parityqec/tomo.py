@@ -43,12 +43,7 @@ from math import isqrt
 import numpy as np
 from scipy.optimize import minimize
 
-from .measure import (
-    MINIMAL,
-    OVERCOMPLETE,
-    CountRecord,
-    setting_projector,
-)
+from .measure import MINIMAL, OVERCOMPLETE, CountRecord, _projector_stack
 from .qcore import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, HermitianMatrix
 
 DEFAULT_TOL = 1e-6
@@ -118,12 +113,7 @@ def linear_inversion(counts: list[CountRecord]) -> HermitianMatrix:
     if not counts:
         raise ValueError("no count records")
     num_qubits = _infer_num_qubits(counts)
-    projectors = np.stack([setting_projector(rec.setting) for rec in counts])
-    return _invert(counts, num_qubits, projectors)
-
-
-def _invert(counts: list[CountRecord], num_qubits: int, projectors: np.ndarray) -> HermitianMatrix:
-    """linear_inversion with the setting projectors already built."""
+    projectors = _projector_stack(tuple(rec.setting for rec in counts))
     dim = 2**num_qubits
     basis = _hermitian_basis(num_qubits)
     design = np.real(np.einsum("kij,bji->kb", projectors, basis))
@@ -143,11 +133,11 @@ def _log_likelihood(probs: np.ndarray, counts: np.ndarray) -> float:
     return float(np.sum(counts * np.log(np.maximum(probs, PROB_LOG_FLOOR))))
 
 
-def _warm_start(counts: list[CountRecord], num_qubits: int, projectors: np.ndarray) -> np.ndarray:
+def _warm_start(counts: list[CountRecord], num_qubits: int) -> np.ndarray:
     """Positivity-projected linear inversion, or I/d when unavailable."""
     dim = 2**num_qubits
     try:
-        estimate = _invert(counts, num_qubits, projectors)
+        estimate = linear_inversion(counts)
     except ValueError:
         return np.eye(dim, dtype=complex) / dim
     ew, ev = np.linalg.eigh(estimate.matrix)
@@ -295,7 +285,7 @@ def mle(
     if n.sum() <= 0:
         raise ValueError("all counts are zero")
     shots = np.array([float(rec.shots_nominal) for rec in counts])
-    raw = np.stack([setting_projector(rec.setting) for rec in counts])
+    raw = _projector_stack(tuple(rec.setting for rec in counts))
     projectors = (shots / shots.max())[:, None, None] * raw
 
     s = projectors.sum(axis=0)
@@ -309,7 +299,7 @@ def mle(
     # (re, im) parts of T_k and A, so all probabilities are one matrix product
     design = np.ascontiguousarray(transformed).reshape(len(counts), -1).view(np.float64)
 
-    x = _factor(s_half @ _warm_start(counts, num_qubits, raw) @ s_half)
+    x = _factor(s_half @ _warm_start(counts, num_qubits) @ s_half)
     t = _unfactor(x)
     a = t @ t.conj().T
     q = design @ a.reshape(-1).view(np.float64)

@@ -13,9 +13,10 @@ a time. The production code contracts precomputed terms over a batch instead.
 
 The state-algebra, optics and teleport helpers at the end are independent
 references that the program itself has no use for: general fidelity, trace
-distance, partial trace, Pauli expectations, operator application, the
-preparation recipe run through the wave plates, the analyzed states, and the
-exact Z statistics of the width-2 code.
+distance, the minimum eigenvalue, partial trace, Pauli expectations,
+operator application, the preparation recipe run through the wave plates,
+the analyzed states, the exact Z statistics of the width-2 code, and the
+teleport protocol replayed along a forced decision sequence.
 """
 
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from parityqec.qcore import (
     kron,
     pure_state,
 )
+from parityqec.teleport import _run
 
 CONTROL_MODES = (1, 2)
 TARGET_MODES = (3, 4)
@@ -215,6 +217,11 @@ def trace_distance(a, b):
     return 0.5 * float(np.sum(np.abs(ew)))
 
 
+def min_eigenvalue(h):
+    """Smallest eigenvalue of a Hermitian matrix (negative when positivity fails)."""
+    return float(np.min(np.linalg.eigvalsh(h.matrix)))
+
+
 def partial_trace(rho, keep):
     """Trace out one qubit of a 2-qubit state, keeping the 1-based index 'keep'."""
     if rho.num_qubits != 2:
@@ -291,3 +298,34 @@ def z_outcome_probabilities(psi):
     p0, _ = conditional_state(register, 1, 0)
     p1, _ = conditional_state(register, 1, 1)
     return p0, p1
+
+
+def teleport_trajectory(psi, decisions):
+    """Replay the teleport protocol along a forced decision sequence.
+
+    decisions: iterable of ("fail", z) or ("success", bell_label) tuples,
+    consumed one per attempt.
+    """
+    queue = list(decisions)
+
+    def next_decision():
+        if not queue:
+            raise ValueError("decision sequence exhausted before the protocol ended")
+        return queue[0]
+
+    def decide_success():
+        return next_decision()[0] == "success"
+
+    def decide_z(_p0):
+        kind, value = queue.pop(0)
+        if kind != "fail":
+            raise ValueError("expected a failure decision")
+        return value
+
+    def decide_bell():
+        kind, value = queue.pop(0)
+        if kind != "success":
+            raise ValueError("expected a success decision")
+        return value
+
+    return _run(psi, decide_success, decide_z, decide_bell)

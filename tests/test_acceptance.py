@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import bosonic_coincidence_map
+from oracles import bosonic_coincidence_map, teleport_trajectory
 from parityqec.cli import (
     REFERENCE_INPUTS,
     RunConfig,
@@ -29,7 +29,6 @@ from parityqec.teleport import (
     BELL_LABELS,
     encoded_teleport_success,
     monte_carlo_success,
-    teleport_trajectory,
 )
 from parityqec.tomo import mle
 

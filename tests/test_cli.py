@@ -22,7 +22,7 @@ from parityqec.cli import (
 )
 from parityqec.cnotgate import NoiseModel
 from parityqec.measure import read_count_records
-from parityqec.qcore import load_density_matrix
+from parityqec.qcore import DensityMatrix, load_density_matrix
 
 from oracles import per_cell_pipeline_means
 
@@ -45,14 +45,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig("fig2", **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("shots", 2.5),
+            ("shots", True),
+            ("seed", True),
+            ("seed", "3"),
+            ("budget", 50.5),
+            ("budget", False),
+            ("exact", 1),
+            ("plots", "yes"),
+            ("scheme", 5),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            RunConfig("fig4", **{field: value})
+
     def test_default_noise_is_the_packaged_model(self):
-        noise = RunConfig("fig2").resolved_noise()
+        noise = RunConfig("fig2").noise
         assert noise == load_default_noise()
 
     def test_explicit_noise_wins(self):
         model = NoiseModel(0.9, 0.8, 0.7)
         cfg = RunConfig("fig2", noise=model)
-        assert cfg.resolved_noise() == model
+        assert cfg.noise == model
 
     def test_to_dict_embeds_resolved_noise(self):
         d = RunConfig("fig2", noise=NoiseModel(0.5, 0.6, 0.7)).to_dict()
@@ -66,26 +84,26 @@ class TestConfig:
         cfg = build_config("fig2", parser_args)
         assert cfg.shots == 123
         assert cfg.seed == 9  # explicit flag overrides the file
-        assert cfg.resolved_noise() is None
+        assert cfg.noise is None
 
     def test_config_file_noise_triplet(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"noise": [0.9, 0.95, 0.97]}))
         cfg = build_config("fig2", _parse(["fig2", "--config", str(cfg_file)]))
-        assert cfg.resolved_noise() == NoiseModel(0.9, 0.95, 0.97)
+        assert cfg.noise == NoiseModel(0.9, 0.95, 0.97)
 
 
     def test_config_file_noise_object(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"noise": NoiseModel(0.9, 0.95, 0.97).to_dict()}))
         cfg = build_config("fig2", _parse(["fig2", "--config", str(cfg_file)]))
-        assert cfg.resolved_noise() == NoiseModel(0.9, 0.95, 0.97)
+        assert cfg.noise == NoiseModel(0.9, 0.95, 0.97)
 
     def test_noise_flag_overrides_the_file(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"noise": "ideal"}))
         args = _parse(["fig2", "--config", str(cfg_file), "--noise", "0.9,0.8,0.7"])
-        assert build_config("fig2", args).resolved_noise() == NoiseModel(0.9, 0.8, 0.7)
+        assert build_config("fig2", args).noise == NoiseModel(0.9, 0.8, 0.7)
 
 
 def _parse(argv):
@@ -94,9 +112,25 @@ def _parse(argv):
     return _build_parser().parse_args(argv)
 
 
+@pytest.mark.parametrize("experiment,validations", [("table1", 0), ("fig2", 6), ("fig3", 6), ("fig4", 88)])
+def test_only_mle_outputs_are_validated(tmp_path, monkeypatch, experiment, validations):
+    # the runners write the states the batch checks passed; only mle wraps a DensityMatrix
+    config = RunConfig(experiment, exact=True, out_dir=tmp_path)
+    calls = []
+    validate = DensityMatrix.__post_init__
+
+    def counted(self):
+        calls.append(self.num_qubits)
+        validate(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    run_experiment(config)
+    assert len(calls) == validations
+
+
 class TestTable1:
     def test_ideal_truth_table(self, tmp_path):
-        cfg = RunConfig("table1", use_default_noise=False, out_dir=tmp_path)
+        cfg = RunConfig("table1", noise=None, out_dir=tmp_path)
         res = run_experiment(cfg)
         for label, prob, fid in res["rows"]:
             assert prob == pytest.approx(1.0 / 9.0, abs=1e-12)
@@ -114,7 +148,7 @@ class TestTable1:
 
 class TestFig2:
     def test_exact_ideal_reconstructions_are_perfect(self, tmp_path):
-        cfg = RunConfig("fig2", use_default_noise=False, exact=True, out_dir=tmp_path)
+        cfg = RunConfig("fig2", noise=None, exact=True, out_dir=tmp_path)
         res = run_experiment(cfg)
         assert res["mean"] == pytest.approx(1.0, abs=1e-6)
         for _, _, fid, _, converged in res["rows"]:
@@ -123,7 +157,7 @@ class TestFig2:
 
     def test_high_shot_sampled_ideal_run(self, tmp_path):
         cfg = RunConfig(
-            "fig2", use_default_noise=False, shots=1_000_000, seed=7, out_dir=tmp_path
+            "fig2", noise=None, shots=1_000_000, seed=7, out_dir=tmp_path
         )
         res = run_experiment(cfg)
         assert all(row[2] >= 0.995 for row in res["rows"])
@@ -141,7 +175,7 @@ class TestFig2:
 
     def test_overcomplete_scheme(self, tmp_path):
         cfg = RunConfig(
-            "fig2", use_default_noise=False, exact=True, scheme="overcomplete", out_dir=tmp_path
+            "fig2", noise=None, exact=True, scheme="overcomplete", out_dir=tmp_path
         )
         res = run_experiment(cfg)
         assert res["mean"] == pytest.approx(1.0, abs=1e-6)
@@ -150,7 +184,7 @@ class TestFig2:
 
 class TestFig3:
     def test_exact_ideal_decodings_are_perfect(self, tmp_path):
-        cfg = RunConfig("fig3", use_default_noise=False, exact=True, out_dir=tmp_path)
+        cfg = RunConfig("fig3", noise=None, exact=True, out_dir=tmp_path)
         res = run_experiment(cfg)
         assert len(res["rows"]) == 24
         for *_, prob, fid, _ in res["rows"]:
@@ -173,7 +207,7 @@ class TestFig3:
 
 class TestFig4:
     def test_exact_ideal_grid_is_perfect(self, tmp_path):
-        cfg = RunConfig("fig4", use_default_noise=False, exact=True, out_dir=tmp_path)
+        cfg = RunConfig("fig4", noise=None, exact=True, out_dir=tmp_path)
         res = run_experiment(cfg)
         assert len(res["rows"]) == (6 + 16) * 4
         assert all(row[6] >= 0.995 for row in res["rows"])

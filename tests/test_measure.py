@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from parityqec import measure
 from parityqec.measure import (
     MINIMAL,
     OVERCOMPLETE,
     CountRecord,
     MeasurementSetting,
+    _projector_stack,
     expected_counts,
     outcome_probability,
     read_count_records,
@@ -19,7 +21,8 @@ from parityqec.measure import (
     write_count_records,
 )
 from parityqec.optics import ANALYZER_SETTINGS
-from parityqec.qcore import pure_state
+from parityqec.qcore import DensityMatrix, pure_state
+from parityqec.tomo import linear_inversion, mle
 
 
 class TestTomoSettings:
@@ -84,6 +87,44 @@ class TestProbabilities:
             outcome_probability(
                 pure_state([1, 0]).density(), tomo_settings(2, MINIMAL)[0]
             )
+
+
+class TestProjectorStack:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([(1, MINIMAL), (1, OVERCOMPLETE), (2, MINIMAL), (2, OVERCOMPLETE)]),
+        st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+    )
+    def test_stacked_probabilities_equal_the_per_setting_traces(self, scheme, entries):
+        dim = 2 ** scheme[0]
+        raw = np.array(entries[: 2 * dim * dim]).view(complex).reshape(dim, dim)
+        gram = raw @ raw.conj().T
+        trace = np.real(np.trace(gram))
+        assume(trace > 1e-6)
+        rho = DensityMatrix(scheme[0], gram / trace)
+        settings_list = tomo_settings(*scheme)
+        stacked = [rec.count for rec in expected_counts(rho, settings_list, shots=1)]
+        per_setting = [
+            min(max(float(np.real(np.trace(setting_projector(s) @ rho.matrix))), 0.0), 1.0)
+            for s in settings_list
+        ]
+        assert stacked == per_setting
+
+    def test_equal_setting_tuples_share_one_read_only_stack(self, tmp_path, monkeypatch):
+        stack = _projector_stack(tuple(tomo_settings(2, MINIMAL)))
+        assert _projector_stack(tuple(tomo_settings(2, MINIMAL))) is stack
+        rho = pure_state([1, 1j, 0, 1]).density()
+        write_count_records(simulate_counts(rho, tomo_settings(2, MINIMAL), 1000, seed=4), tmp_path / "c.csv")
+        back = read_count_records(tmp_path / "c.csv")
+        assert _projector_stack(tuple(rec.setting for rec in back)) is stack
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+        # counting and both reconstructions read the cached stack, not the wave plates
+        monkeypatch.setattr(measure, "setting_projector", None)
+        assert len(expected_counts(rho, [rec.setting for rec in back], 1000)) == 16
+        linear_inversion(back)
+        mle(back)
 
 
 class TestSimulateCounts:

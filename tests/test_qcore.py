@@ -8,6 +8,7 @@ from oracles import (
     apply_to_pure,
     apply_unitary,
     fidelity_mixed,
+    min_eigenvalue,
     partial_trace,
     stokes,
     trace_distance,
@@ -91,7 +92,7 @@ class TestDensityMatrix:
 
     def test_hermitian_container_allows_negative_eigenvalue(self):
         h = HermitianMatrix(1, np.diag([1.2, -0.2]))
-        assert h.min_eigenvalue() == pytest.approx(-0.2)
+        assert min_eigenvalue(h) == pytest.approx(-0.2)
 
 
 class TestOperations:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import z_outcome_probabilities
+from oracles import teleport_trajectory, z_outcome_probabilities
 from parityqec.qcore import PureState, fidelity
 from parityqec.teleport import (
     BELL_CORRECTIONS,
@@ -14,7 +14,6 @@ from parityqec.teleport import (
     encoded_teleport_success,
     monte_carlo_success,
     simulate_teleport,
-    teleport_trajectory,
 )
 
 RNG = np.random.default_rng(20260818)

@@ -14,7 +14,7 @@ from parityqec.measure import (
     simulate_counts,
     tomo_settings,
 )
-from oracles import trace_distance
+from oracles import min_eigenvalue, trace_distance
 from parityqec.qcore import DensityMatrix, PureState, fidelity, pure_state
 from parityqec import tomo
 from parityqec.tomo import TomographyResult, linear_inversion, mle
@@ -55,7 +55,7 @@ class TestLinearInversion:
             counts = simulate_counts(rho, tomo_settings(1, OVERCOMPLETE), 100, seed)
             est = linear_inversion(counts)
             assert np.trace(est.matrix).real == pytest.approx(1.0, abs=1e-10)
-            if est.min_eigenvalue() < -1e-6:
+            if min_eigenvalue(est) < -1e-6:
                 found_negative = True
         assert found_negative
 
