@@ -47,8 +47,6 @@ from .qcore import (
 from .teleport import encoded_teleport_success, monte_carlo_success
 from .tomo import mle
 
-EXPERIMENTS = ("table1", "fig2", "fig3", "fig4", "teleport", "calibrate")
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # The six reference inputs: both Z eigenstates and the four equal
@@ -69,6 +67,7 @@ REAL_INPUT_LABELS = ("0", "1", "0+1", "0-1")
 SWEEP_ANGLES = tuple(range(10, 90, 10))
 
 DEFAULT_TARGETS = (0.88, 0.93, 0.96)
+DEFAULT_BUDGET = 900
 CALIBRATION_TOLERANCE = 0.05
 # calibration starts: the ideal gate first, then the other cube corners
 _CUBE_CORNERS = tuple(itertools.product((1.0, 0.0), repeat=3))
@@ -100,7 +99,7 @@ class RunConfig:
     exact: bool = False
     plots: bool = False
     targets: tuple[float, float, float] = DEFAULT_TARGETS
-    budget: int = 900
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -109,6 +108,17 @@ class RunConfig:
             value = getattr(self, key)
             if type(value) is not kind:
                 raise ConfigError(f"{key} must be {kind.__name__}; got {value!r}")
+        if not (self.noise is None or isinstance(self.noise, NoiseModel)):
+            raise ConfigError(f"noise must be NoiseModel or None; got {self.noise!r}")
+        if not isinstance(self.out_dir, Path):
+            raise ConfigError(f"out_dir must be Path; got {self.out_dir!r}")
+        targets = self.targets
+        if not (
+            type(targets) is tuple
+            and len(targets) == 3
+            and all(type(t) is float and math.isfinite(t) for t in targets)
+        ):
+            raise ConfigError(f"targets must be three finite floats; got {targets!r}")
         if self.shots < 1:
             raise ConfigError("shots must be at least 1")
         if self.seed < 0:
@@ -159,24 +169,23 @@ def _prepared(path: Path) -> Path:
     return path
 
 
-def _header_lines(config: RunConfig) -> list[str]:
-    lines = [f"parityqec {__version__}", "configuration:"]
-    for key, value in sorted(config.to_dict().items()):
-        lines.append(f"  {key}: {json.dumps(value, sort_keys=True)}")
-    return lines
-
-
-def _write_text(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+def _write_summary(config: RunConfig, name: str, lines: list[str]) -> Path:
+    """Write <name>_summary.txt: version, resolved configuration, a blank line, lines."""
+    header = [f"parityqec {__version__}", "configuration:"]
+    header += [
+        f"  {key}: {json.dumps(value, sort_keys=True)}"
+        for key, value in sorted(config.to_dict().items())
+    ]
+    path = _prepared(config.out_dir / f"{name}_summary.txt")
+    path.write_text("\n".join(header + [""] + lines) + "\n")
+    return path
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     out = [",".join(header)]
     for row in rows:
         out.append(",".join(_format_field(v) for v in row))
-    path.write_text("\n".join(out) + "\n")
+    _prepared(path).write_text("\n".join(out) + "\n")
 
 
 def _format_field(value) -> str:
@@ -270,11 +279,10 @@ def run_table1(config: RunConfig) -> dict:
     for idx, (label, _) in enumerate(REFERENCE_INPUTS):
         rows.append((label, float(probs[idx]), float(fids[idx])))
         _save_matrix(encoded[idx], _prepared(out / "table1_states" / f"{label}.json"))
-    lines = _header_lines(config) + ["", "encoder outputs (success probability, fidelity vs ideal code):"]
+    lines = ["encoder outputs (success probability, fidelity vs ideal code):"]
     lines += [f"  {label}: p={p:.6f} F={f:.6f}" for label, p, f in rows]
     _write_csv(out / "table1.csv", ("input", "success_prob", "fidelity"), rows)
-    _write_text(out / "table1_summary.txt", lines)
-    return {"rows": rows, "summary": out / "table1_summary.txt"}
+    return {"rows": rows, "summary": _write_summary(config, "table1", lines)}
 
 
 def _cell_counts(config: RunConfig, state: np.ndarray, settings, *key: int) -> list:
@@ -323,7 +331,7 @@ def run_fig2(config: RunConfig) -> dict:
             )
         )
     mean, sd = _mean_sd([row[2] for row in rows])
-    lines = _header_lines(config) + ["", "encoded-state reconstruction fidelities:"]
+    lines = ["encoded-state reconstruction fidelities:"]
     lines += [f"  {label}: F={fid:.6f}" for label, _, fid, _, _ in rows]
     lines += ["", f"mean fidelity: {mean:.6f}", f"sd across states: {sd:.6f}"]
     _write_csv(
@@ -331,12 +339,12 @@ def run_fig2(config: RunConfig) -> dict:
         ("input", "success_prob", "fidelity", "iterations", "converged"),
         rows,
     )
-    _write_text(out / "fig2_summary.txt", lines)
+    summary = _write_summary(config, "fig2", lines)
     if config.plots:
         labels = [row[0] for row in rows]
         svg = _bar_chart_svg("encoded-state fidelities", labels, [row[2] for row in rows])
         _prepared(out / "fig2_bars.svg").write_text(svg)
-    return {"rows": rows, "cells": cells, "mean": mean, "sd": sd, "summary": out / "fig2_summary.txt"}
+    return {"rows": rows, "cells": cells, "mean": mean, "sd": sd, "summary": summary}
 
 
 def run_fig3(config: RunConfig) -> dict:
@@ -364,7 +372,7 @@ def run_fig3(config: RunConfig) -> dict:
                 )
     mean, sd = _mean_sd([row[4] for row in rows])
     imag_mean, imag_sd = _mean_sd(imag_rows)
-    lines = _header_lines(config) + ["", "decoded fidelities (input, qubit, outcome):"]
+    lines = ["decoded fidelities (input, qubit, outcome):"]
     lines += [f"  {lb} q{q} -> {oc}: F={f:.6f}" for lb, q, oc, _, f, _ in rows]
     lines += [
         "",
@@ -378,7 +386,7 @@ def run_fig3(config: RunConfig) -> dict:
         ("input", "qubit", "outcome", "outcome_prob", "fidelity", "mean_abs_imag"),
         rows,
     )
-    _write_text(out / "fig3_summary.txt", lines)
+    summary = _write_summary(config, "fig3", lines)
     if config.plots:
         labels = [f"{lb}/q{q}{oc}" for lb, q, oc, _, _, _ in rows[::4]]
         fids = [row[4] for row in rows[::4]]
@@ -390,7 +398,7 @@ def run_fig3(config: RunConfig) -> dict:
         "sd": sd,
         "imag_mean": imag_mean,
         "imag_sd": imag_sd,
-        "summary": out / "fig3_summary.txt",
+        "summary": summary,
     }
 
 
@@ -418,7 +426,7 @@ def run_fig4(config: RunConfig) -> dict:
         for q in (1, 2)
         for oc in (0, 1)
     }
-    lines = _header_lines(config) + ["", "direct decoded fidelities:"]
+    lines = ["direct decoded fidelities:"]
     lines += [
         f"  {lb} q{q} -> {oc}: F={f:.6f}" for lb, _, _, q, oc, _, f in rows
     ]
@@ -438,14 +446,13 @@ def run_fig4(config: RunConfig) -> dict:
         ("input", "family", "angle", "qubit", "outcome", "outcome_prob", "fidelity"),
         rows,
     )
-    _write_text(out / "fig4_summary.txt", lines)
     return {
         "rows": rows,
         "mean": mean,
         "sd": sd,
         "full_mean": full_mean,
         "curve_means": curve_means,
-        "summary": out / "fig4_summary.txt",
+        "summary": _write_summary(config, "fig4", lines),
     }
 
 
@@ -464,7 +471,7 @@ def run_teleport(config: RunConfig) -> dict:
             )
             se = math.sqrt(exact * (1.0 - exact) / TELEPORT_TRIALS)
             rows.append((n, width, exact, estimate, TELEPORT_TRIALS, se))
-    lines = _header_lines(config) + ["", "n,width,exact,estimate,trials,std_error"]
+    lines = ["n,width,exact,estimate,trials,std_error"]
     lines += [
         f"  n={n} width={w}: exact={ex:.6f} estimate={est:.6f} se={se:.6f}"
         for n, w, ex, est, _, se in rows
@@ -474,8 +481,7 @@ def run_teleport(config: RunConfig) -> dict:
         ("n", "width", "exact_success", "mc_estimate", "trials", "std_error"),
         rows,
     )
-    _write_text(out / "teleport_summary.txt", lines)
-    return {"rows": rows, "summary": out / "teleport_summary.txt"}
+    return {"rows": rows, "summary": _write_summary(config, "teleport", lines)}
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +528,7 @@ def exact_pipeline_means(noise: NoiseModel | None) -> tuple[float, float, float]
 
 
 def calibrate_noise(
-    targets: tuple[float, float, float] = DEFAULT_TARGETS, budget: int = 900
+    targets: tuple[float, float, float] = DEFAULT_TARGETS, budget: int = DEFAULT_BUDGET
 ) -> CalibrationResult:
     """Fit the three visibilities so the pipeline means hit the targets.
 
@@ -590,7 +596,6 @@ def calibrate_noise(
 
 def run_calibrate(config: RunConfig) -> dict:
     result = calibrate_noise(config.targets, config.budget)
-    out = config.out_dir
     payload = {
         "noise": result.noise.to_dict(),
         "targets": list(config.targets),
@@ -601,10 +606,9 @@ def run_calibrate(config: RunConfig) -> dict:
         "warnings": list(result.warnings),
         "version": __version__,
     }
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "calibration.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    lines = _header_lines(config) + [
-        "",
+    calibration = _prepared(config.out_dir / "calibration.json")
+    calibration.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    lines = [
         f"fitted visibilities: {json.dumps(result.noise.to_dict(), sort_keys=True)}",
         f"achieved means: {[round(a, 6) for a in result.achieved]}",
         f"residuals: {[round(r, 6) for r in result.residuals]}",
@@ -612,27 +616,28 @@ def run_calibrate(config: RunConfig) -> dict:
         f"evaluations: {result.evaluations}",
     ]
     lines += [f"warning: {w}" for w in result.warnings]
-    _write_text(out / "calibrate_summary.txt", lines)
-    return {"result": result, "summary": out / "calibrate_summary.txt"}
+    return {"result": result, "summary": _write_summary(config, "calibrate", lines)}
 
 
 # ---------------------------------------------------------------------------
 # Command line front end
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "table1": run_table1,
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "teleport": run_teleport,
-    "calibrate": run_calibrate,
+# every experiment: its runner and its one-line help
+EXPERIMENTS = {
+    "table1": (run_table1, "encoder truth table for the six reference inputs"),
+    "fig2": (run_fig2, "2-qubit tomography of the encoded reference states"),
+    "fig3": (run_fig3, "the four Z-measurement decodings of the fig2 reconstructions"),
+    "fig4": (run_fig4, "direct conditioned 1-qubit tomography over the input sweeps"),
+    "teleport": (run_teleport, "success-law table for teleportation on the width-2 code"),
+    "calibrate": (run_calibrate, "fit the noise model to target pipeline means"),
 }
 
 
 def run_experiment(config: RunConfig) -> dict:
     """Dispatch a configured run; returns the runner's result payload."""
-    return _RUNNERS[config.experiment](config)
+    runner, _ = EXPERIMENTS[config.experiment]
+    return runner(config)
 
 
 def _three_numbers(value, error: str) -> tuple[float, float, float]:
@@ -669,51 +674,44 @@ def _parse_noise(value, source: str) -> NoiseModel | None:
     return NoiseModel(*_three_numbers(value, error))
 
 
+def _field(key: str, value, source: str) -> tuple[str, object]:
+    """The RunConfig field and value that a flag or config key gives; errors name the source."""
+    if key == "noise":
+        return key, _parse_noise(value, source)
+    if key == "targets":
+        return key, _three_numbers(value, f"{source} must be three numbers; got {value!r}")
+    if key == "out":
+        # RunConfig checks the other values; out becomes a Path before it sees it
+        if type(value) is not str:
+            raise ConfigError(f"{source} must be str; got {value!r}")
+        return "out_dir", Path(value)
+    return key, value
+
+
 def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values (if any) under the explicit flags."""
-    file_values: dict = {}
+    """RunConfig(experiment, **given): the config file's values, then every flag that was set.
+
+    The file may hold exactly the keys of the configuration header
+    (RunConfig.to_dict()); its experiment, if given, must be the subcommand.
+    """
+    given = {}
     if args.config is not None:
-        file_values = json.loads(Path(args.config).read_text())
-        if not isinstance(file_values, dict):
+        values = json.loads(Path(args.config).read_text())
+        if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
-        # RunConfig checks the other scalars; out becomes a Path before it sees it
-        if type(file_values.get("out", "")) is not str:
-            raise ConfigError(f"config out must be str; got {file_values['out']!r}")
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
-
-    if args.noise is not None:
-        noise = _parse_noise(args.noise, "--noise")
-    elif args.ideal:
-        noise = None
-    elif "noise" in file_values:
-        noise = _parse_noise(file_values["noise"], "config noise")
-    else:
-        noise = load_default_noise()
-
-    targets = DEFAULT_TARGETS
-    if getattr(args, "targets", None) is not None:
-        value = args.targets
-        targets = _three_numbers(value, f"--targets must be three numbers; got {value!r}")
-    elif "targets" in file_values:
-        value = file_values["targets"]
-        targets = _three_numbers(value, f"config targets must be three numbers; got {value!r}")
-
-    return RunConfig(
-        experiment=experiment,
-        noise=noise,
-        shots=pick(args.shots, "shots", 10_000),
-        seed=pick(args.seed, "seed", 0),
-        scheme=pick(args.scheme, "scheme", MINIMAL),
-        out_dir=Path(pick(args.out, "out", "parityqec-results")),
-        exact=args.exact or file_values.get("exact", False),
-        plots=args.plots or file_values.get("plots", False),
-        targets=targets,
-        budget=pick(getattr(args, "budget", None), "budget", 900),
+        unknown = sorted(set(values) - set(RunConfig(experiment).to_dict()))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
+        named = values.pop("experiment", experiment)
+        if named != experiment:
+            raise ConfigError(f"config experiment {named!r} is not the subcommand {experiment!r}")
+        given.update(_field(key, value, f"config {key}") for key, value in values.items())
+    given.update(
+        _field(key, value, f"--{key}")
+        for key, value in vars(args).items()
+        if key not in ("experiment", "config") and value is not None
     )
+    return RunConfig(experiment, **given)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -724,18 +722,22 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="visibilities: non-classical, classical control, classical target",
     )
     noise_group.add_argument(
-        "--ideal", action="store_true", help="run the perfect gate instead of a noise model"
+        "--ideal",
+        action="store_const",
+        const="ideal",
+        dest="noise",
+        help="run the perfect gate instead of a noise model",
     )
     parser.add_argument("--shots", type=int, help="coincidences per analyzer setting")
     parser.add_argument("--seed", type=int, help="run seed; every cell derives its own stream")
     parser.add_argument("--scheme", choices=(MINIMAL, OVERCOMPLETE), help="tomography settings set")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument(
-        "--exact", action="store_true", help="replace sampling with exact Poisson means"
-    )
-    parser.add_argument(
-        "--plots", action="store_true", help="also emit static bar-chart vector graphics"
-    )
+    # a switch that was not given reads None, as every other unset flag does
+    for flag, text in (
+        ("--exact", "replace sampling with exact Poisson means"),
+        ("--plots", "also emit static bar-chart vector graphics"),
+    ):
+        parser.add_argument(flag, action="store_true", default=None, help=text)
     parser.add_argument("--config", help="JSON file mirroring the run configuration")
 
 
@@ -747,16 +749,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Photonic parity-code experiments: encoding, tomography, decoding.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    descriptions = {
-        "table1": "encoder truth table for the six reference inputs",
-        "fig2": "2-qubit tomography of the encoded reference states",
-        "fig3": "the four Z-measurement decodings of the fig2 reconstructions",
-        "fig4": "direct conditioned 1-qubit tomography over the input sweeps",
-        "teleport": "success-law table for teleportation on the width-2 code",
-        "calibrate": "fit the noise model to target pipeline means",
-    }
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=descriptions[name])
+    for name, (_, description) in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=description)
         _add_common_flags(sp)
         if name == "calibrate":
             sp.add_argument("--targets", metavar="T2,T3,T4", help="three target mean fidelities")

@@ -57,6 +57,12 @@ class TestConfig:
             ("exact", 1),
             ("plots", "yes"),
             ("scheme", 5),
+            ("noise", "ideal"),
+            ("out_dir", "strdir"),
+            ("targets", (0.9, 0.9)),
+            ("targets", [0.9, 0.9, 0.9]),
+            ("targets", (0.9, True, 0.9)),
+            ("targets", (0.9, float("nan"), 0.9)),
         ],
     )
     def test_rejects_wrong_types(self, field, value):
@@ -104,6 +110,50 @@ class TestConfig:
         cfg_file.write_text(json.dumps({"noise": "ideal"}))
         args = _parse(["fig2", "--config", str(cfg_file), "--noise", "0.9,0.8,0.7"])
         assert build_config("fig2", args).noise == NoiseModel(0.9, 0.8, 0.7)
+
+    # key, the flags that set it, the same setting as a config value, another config value
+    MERGE_CASES = [
+        ("shots", ["--shots", "300"], 300, 7),
+        ("seed", ["--seed", "4"], 4, 9),
+        ("scheme", ["--scheme", "overcomplete"], "overcomplete", "minimal"),
+        ("out", ["--out", "res"], "res", "elsewhere"),
+        ("exact", ["--exact"], True, False),
+        ("plots", ["--plots"], True, False),
+        ("noise", ["--noise", "0.9,0.8,0.7"], [0.9, 0.8, 0.7], "ideal"),
+        ("targets", ["--targets", "0.8,0.9,0.95"], [0.8, 0.9, 0.95], [0.7, 0.7, 0.7]),
+        ("budget", ["--budget", "50"], 50, 60),
+    ]
+
+    @pytest.mark.parametrize("key,flags,value,other", MERGE_CASES)
+    def test_flag_and_file_give_one_config_and_the_flag_wins(
+        self, tmp_path, key, flags, value, other
+    ):
+        by_flag = _built(tmp_path, "calibrate", flags)
+        assert by_flag != RunConfig("calibrate")
+        assert _built(tmp_path, "calibrate", [], {key: value}) == by_flag
+        assert _built(tmp_path, "calibrate", [], {key: other}) != by_flag
+        assert _built(tmp_path, "calibrate", flags, {key: other}) == by_flag
+
+    @pytest.mark.parametrize(
+        "flags,file_values", [(["--ideal"], None), (["--noise", "ideal"], None), ([], {"noise": "ideal"})]
+    )
+    def test_every_spelling_of_ideal_is_no_noise(self, tmp_path, flags, file_values):
+        assert _built(tmp_path, "fig2", flags, file_values) == RunConfig("fig2", noise=None)
+
+    def test_a_configuration_header_is_a_config_file(self, tmp_path):
+        # the embedded configuration, experiment key included, reads back as the same run
+        config = RunConfig("table1", shots=300, seed=4, out_dir=Path("res"))
+        assert _built(tmp_path, "table1", [], config.to_dict()) == config
+
+
+def _built(tmp_path, experiment, flags, file_values=None):
+    """build_config of a subcommand's flags, with file_values as its config file if given."""
+    argv = [experiment, *flags]
+    if file_values is not None:
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(file_values))
+        argv += ["--config", str(cfg_file)]
+    return build_config(experiment, _parse(argv))
 
 
 def _parse(argv):
@@ -391,6 +441,8 @@ class TestMain:
             {"exact": 1},
             {"plots": "yes"},
             {"scheme": 5},
+            {"shot": 5},
+            {"experiment": "fig4"},
         ],
     )
     def test_bad_config_values_fail_cleanly(self, tmp_path, capsys, values):
