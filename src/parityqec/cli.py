@@ -129,13 +129,9 @@ class RunConfig:
             raise ConfigError("budget too small to search at all")
 
     def to_dict(self) -> dict:
-        if self.experiment in ("teleport", "calibrate"):
-            noise = "unused"
-        else:
-            noise = "ideal" if self.noise is None else self.noise.to_dict()
         return {
             "experiment": self.experiment,
-            "noise": noise,
+            "noise": "ideal" if self.noise is None else self.noise.to_dict(),
             "shots": self.shots,
             "seed": self.seed,
             "scheme": self.scheme,

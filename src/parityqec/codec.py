@@ -24,12 +24,10 @@ from .qcore import (
     PROB_FLOOR,
     DensityMatrix,
     ImpossibleOutcomeError,
-    PAULI_X,
     PureState,
     _check_density,
     conditional_state,
     kron,
-    single_qubit_operator,
 )
 
 PROVENANCE_IDEAL = "ideal"
@@ -106,12 +104,6 @@ def encode(psi: PureState, gate: str | NoiseModel = "ideal") -> tuple[float, Enc
     return prob, EncodedState(rho, provenance)
 
 
-def _outcome_probability(rho: DensityMatrix, qubit: int, outcome: int) -> float:
-    proj = np.diag([1.0, 0.0]) if outcome == 0 else np.diag([0.0, 1.0])
-    full = single_qubit_operator(proj.astype(complex), qubit, rho.num_qubits)
-    return float(np.real(np.trace(full @ rho.matrix)))
-
-
 def decode(
     encoded: EncodedState,
     measured_qubit: int = 1,
@@ -136,7 +128,12 @@ def decode(
     if outcome == SAMPLED:
         if rng is None:
             raise ValueError("sampled decoding requires an rng")
-        p0 = _outcome_probability(rho, measured_qubit, 0)
+        n = rho.num_qubits
+        if not 1 <= measured_qubit <= n:
+            raise ValueError(f"qubit index {measured_qubit} out of range for {n} qubits")
+        # the diagonal entries whose measured bit is 0
+        diag = np.real(rho.matrix.diagonal()).reshape(2 ** (measured_qubit - 1), 2, -1)
+        p0 = float(diag[:, 0].sum())
         outcome = 0 if rng.random() < p0 else 1
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0, 1 or SAMPLED")
@@ -144,9 +141,11 @@ def decode(
     applied = False
     if correct and outcome == 1:
         # flipping any single qubit of a parity-code register flips the
-        # logical qubit; use the first remaining one
-        x_full = single_qubit_operator(PAULI_X, 1, rest.num_qubits)
-        rest = DensityMatrix(rest.num_qubits, x_full @ rest.matrix @ x_full.conj().T)
+        # logical qubit; X on the first remaining one reverses its row and
+        # column index
+        dim = rest.matrix.shape[0]
+        flipped = rest.matrix.reshape(2, dim // 2, 2, dim // 2)[::-1, :, ::-1, :]
+        rest = DensityMatrix(rest.num_qubits, flipped.reshape(dim, dim))
         applied = True
     return DecodedResult(outcome, prob, rest, applied)
 

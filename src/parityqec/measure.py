@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .optics import ANALYZER_SETTINGS, AnalyzerSetting, analyzer_projector
+from .optics import ANALYZER_SETTINGS, TRANSMITTED, AnalyzerSetting, analyzer_projector
 from .qcore import DensityMatrix
 
 MINIMAL = "minimal"
@@ -186,6 +186,13 @@ def _format_count(count: float) -> str:
 
 
 def write_count_records(records: list[CountRecord], path) -> None:
+    """Write records as CSV, or raise ValueError before opening the file if
+    one has more than two analyzers or a reflected port, which it cannot hold.
+    """
+    for rec in records:
+        analyzers = rec.setting.analyzers
+        if len(analyzers) > 2 or any(a.port != TRANSMITTED for a in analyzers):
+            raise ValueError(f"count files hold 1 or 2 transmitted-port analyzers, not {rec.setting}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)

@@ -23,13 +23,6 @@ TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 PROB_FLOOR = 1e-12
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _m in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z):
-    _m.flags.writeable = False
-
 
 class ImpossibleOutcomeError(ValueError):
     """Raised when conditioning on an outcome of probability below PROB_FLOOR."""
@@ -140,16 +133,6 @@ def pure_state(amplitudes) -> PureState:
 def kron(a: PureState, b: PureState) -> PureState:
     """Tensor product; 'a' occupies the leading (leftmost) qubits."""
     return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def single_qubit_operator(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """Embed a 2x2 matrix acting on the given 1-based qubit of an n-qubit register."""
-    if not 1 <= qubit <= num_qubits:
-        raise ValueError(f"qubit index {qubit} out of range for {num_qubits} qubits")
-    full = np.array([[1.0 + 0j]])
-    for k in range(1, num_qubits + 1):
-        full = np.kron(full, op if k == qubit else IDENTITY_2)
-    return full
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Density-matrix reconstruction: linear inversion and maximum likelihood.
 
 Linear inversion solves the least-squares system between measured frequencies
-and projector expectation values over an orthonormal Hermitian operator
-basis. Under shot noise its output can have negative eigenvalues, so it is
-returned unvalidated; the maximum-likelihood step is what produces a
-physical state.
+and projector expectation values Tr(Pi_k rho), each the real dot product of
+the interleaved (re, im) entries of Pi_k and rho. Under shot noise its output
+can have negative eigenvalues, so it is returned unvalidated; the
+maximum-likelihood step is what produces a physical state.
 
 The MLE treats each count as Poisson with mean shots * Tr(rho Pi). Because a
 setting list need not resolve the identity, the solver maximizes the Poisson
@@ -36,15 +36,13 @@ that gap is at most tol nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 from math import isqrt
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .measure import MINIMAL, OVERCOMPLETE, CountRecord, _projector_stack
-from .qcore import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, HermitianMatrix
+from .qcore import DensityMatrix, HermitianMatrix
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
@@ -69,29 +67,16 @@ class TomographyResult:
             raise ValueError("iterations must be non-negative")
 
 
-@lru_cache(maxsize=None)
-def _hermitian_basis(num_qubits: int) -> np.ndarray:
-    """Orthonormal Hermitian basis (normalized Pauli products), shape (d^2, d, d).
-
-    Cached per qubit number, so the array is read-only.
-    """
-    dim = 2**num_qubits
-    ops = []
-    for combo in product((IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z), repeat=num_qubits):
-        op = np.array([[1.0 + 0.0j]])
-        for pauli in combo:
-            op = np.kron(op, pauli)
-        ops.append(op / np.sqrt(dim))
-    basis = np.stack(ops)
-    basis.flags.writeable = False
-    return basis
-
-
-def _infer_num_qubits(counts: list[CountRecord]) -> int:
+def _parse(counts: list[CountRecord]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(qubit number, counts, nominal shots, (k, d, d) projectors) of a count list."""
+    if not counts:
+        raise ValueError("no count records")
     sizes = {rec.setting.num_qubits for rec in counts}
     if len(sizes) != 1:
         raise ValueError("count records mix different qubit numbers")
-    return sizes.pop()
+    n = np.array([float(rec.count) for rec in counts])
+    shots = np.array([float(rec.shots_nominal) for rec in counts])
+    return sizes.pop(), n, shots, _projector_stack(tuple(rec.setting for rec in counts))
 
 
 def _infer_scheme(counts: list[CountRecord], num_qubits: int) -> str:
@@ -103,44 +88,49 @@ def _infer_scheme(counts: list[CountRecord], num_qubits: int) -> str:
     return "custom"
 
 
-def linear_inversion(counts: list[CountRecord]) -> HermitianMatrix:
-    """Least-squares state estimate from count frequencies.
+def _invert(projectors: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Unit-trace least-squares solution A of Tr(Pi_k A) = freqs_k.
 
-    Raises ValueError when the setting set is not informationally complete
-    (design-matrix rank below d^2). The result is Hermitian with unit trace
-    but may fail positivity under shot noise.
+    The rows are the projectors' interleaved (re, im) entries, so the
+    minimum-norm solution lies in their span and is Hermitian: the
+    anti-Hermitian directions are in the rows' null space.
     """
-    if not counts:
-        raise ValueError("no count records")
-    num_qubits = _infer_num_qubits(counts)
-    projectors = _projector_stack(tuple(rec.setting for rec in counts))
-    dim = 2**num_qubits
-    basis = _hermitian_basis(num_qubits)
-    design = np.real(np.einsum("kij,bji->kb", projectors, basis))
-    if np.linalg.matrix_rank(design, tol=1e-10) < dim * dim:
+    k, dim, _ = projectors.shape
+    rows = projectors.reshape(k, -1).view(np.float64)
+    coeffs, _, _, singular = np.linalg.lstsq(rows, freqs, rcond=None)
+    if np.count_nonzero(singular > 1e-10) < dim * dim:
         raise ValueError("setting set is not informationally complete")
-    freqs = np.array([rec.count / rec.shots_nominal for rec in counts])
-    coeffs, *_ = np.linalg.lstsq(design, freqs, rcond=None)
-    mat = np.einsum("b,bij->ij", coeffs, basis)
+    mat = coeffs.view(complex).reshape(dim, dim)
     mat = 0.5 * (mat + mat.conj().T)
     trace = float(np.real(np.trace(mat)))
     if abs(trace) < 1e-12:
         raise ValueError("degenerate reconstruction with near-zero trace")
-    return HermitianMatrix(num_qubits, mat / trace)
+    return mat / trace
+
+
+def linear_inversion(counts: list[CountRecord]) -> HermitianMatrix:
+    """Least-squares state estimate from count frequencies.
+
+    Raises ValueError when the setting set is not informationally complete
+    (fewer than d^2 independent projectors). The result is Hermitian with
+    unit trace but may fail positivity under shot noise.
+    """
+    num_qubits, n, shots, projectors = _parse(counts)
+    return HermitianMatrix(num_qubits, _invert(projectors, n / shots))
 
 
 def _log_likelihood(probs: np.ndarray, counts: np.ndarray) -> float:
     return float(np.sum(counts * np.log(np.maximum(probs, PROB_LOG_FLOOR))))
 
 
-def _warm_start(counts: list[CountRecord], num_qubits: int) -> np.ndarray:
+def _warm_start(projectors: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Positivity-projected linear inversion, or I/d when unavailable."""
-    dim = 2**num_qubits
+    dim = projectors.shape[-1]
     try:
-        estimate = linear_inversion(counts)
+        estimate = _invert(projectors, freqs)
     except ValueError:
         return np.eye(dim, dtype=complex) / dim
-    ew, ev = np.linalg.eigh(estimate.matrix)
+    ew, ev = np.linalg.eigh(estimate)
     # blend a sliver of the identity back in, scaled by how non-physical the
     # inversion was: the gradient vanishes on a zero column of the factor, so
     # an eigenvalue that starts at zero could never grow
@@ -278,14 +268,9 @@ def mle(
     The reported log_likelihood is the Poisson profile objective (equal, up
     to a constant, to sum n_k log p_k for identity-resolving schemes).
     """
-    if not counts:
-        raise ValueError("no count records")
-    num_qubits = _infer_num_qubits(counts)
-    n = np.array([float(rec.count) for rec in counts])
+    num_qubits, n, shots, raw = _parse(counts)
     if n.sum() <= 0:
         raise ValueError("all counts are zero")
-    shots = np.array([float(rec.shots_nominal) for rec in counts])
-    raw = _projector_stack(tuple(rec.setting for rec in counts))
     projectors = (shots / shots.max())[:, None, None] * raw
 
     s = projectors.sum(axis=0)
@@ -299,7 +284,7 @@ def mle(
     # (re, im) parts of T_k and A, so all probabilities are one matrix product
     design = np.ascontiguousarray(transformed).reshape(len(counts), -1).view(np.float64)
 
-    x = _factor(s_half @ _warm_start(counts, num_qubits) @ s_half)
+    x = _factor(s_half @ _warm_start(raw, n / shots) @ s_half)
     t = _unfactor(x)
     a = t @ t.conj().T
     q = design @ a.reshape(-1).view(np.float64)

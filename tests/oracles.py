@@ -11,27 +11,27 @@ but take the slow road from there: the gate summed over its four dephasing
 branches, and the pipeline means computed one encode/decode/fidelity cell at
 a time. The production code contracts precomputed terms over a batch instead.
 
-The state-algebra, optics and teleport helpers at the end are independent
-references that the program itself has no use for: general fidelity, trace
-distance, the minimum eigenvalue, partial trace, Pauli expectations,
-operator application, the preparation recipe run through the wave plates,
-the analyzed states, the exact Z statistics of the width-2 code, and the
-teleport protocol replayed along a forced decision sequence.
+The state-algebra, measurement, codec, optics and teleport helpers at the
+end are independent references that the program itself has no use for:
+general fidelity, trace distance, the minimum eigenvalue, single-qubit
+operators embedded in a register, partial trace, Pauli expectations,
+operator application, linear inversion over the Pauli basis, Z decoding
+through embedded operators, the preparation recipe run through the wave
+plates, the analyzed states, the exact Z statistics of the width-2 code, and
+the teleport protocol replayed along a forced decision sequence.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from parityqec.cli import REFERENCE_INPUTS, SWEEP_ANGLES
 from parityqec.cnotgate import _network_unitary, _two_photon_operators, postselect_cnot
 from parityqec.codec import ideal_encoded, parity_extend
+from parityqec.measure import setting_projector
 from parityqec.optics import PHI_FAMILY, THETA_FAMILY, TRANSMITTED, _composed, prepare_input
 from parityqec.qcore import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     DensityMatrix,
     PureState,
     _as_complex_array,
@@ -41,6 +41,11 @@ from parityqec.qcore import (
     pure_state,
 )
 from parityqec.teleport import _run
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 CONTROL_MODES = (1, 2)
 TARGET_MODES = (3, 4)
@@ -222,6 +227,16 @@ def min_eigenvalue(h):
     return float(np.min(np.linalg.eigvalsh(h.matrix)))
 
 
+def single_qubit_operator(op, qubit, num_qubits):
+    """Embed a 2x2 matrix acting on the given 1-based qubit of an n-qubit register."""
+    if not 1 <= qubit <= num_qubits:
+        raise ValueError(f"qubit index {qubit} out of range for {num_qubits} qubits")
+    full = np.array([[1.0 + 0j]])
+    for k in range(1, num_qubits + 1):
+        full = np.kron(full, op if k == qubit else IDENTITY_2)
+    return full
+
+
 def partial_trace(rho, keep):
     """Trace out one qubit of a 2-qubit state, keeping the 1-based index 'keep'."""
     if rho.num_qubits != 2:
@@ -252,6 +267,63 @@ def stokes(rho):
                 values.append(float(np.real(np.trace(np.kron(p, q) @ rho.matrix))))
         return tuple(values)
     raise ValueError("stokes supports 1- or 2-qubit states")
+
+
+# ---------------------------------------------------------------------------
+# Measurement
+# ---------------------------------------------------------------------------
+
+
+def pauli_linear_inversion(counts):
+    """Least-squares state estimate expanded in the normalised Pauli-product basis.
+
+    The design matrix is Tr(Pi_k B_b) over the d^2 orthonormal Hermitian
+    B_b; its rank (tolerance 1e-10) must be d^2. Returns the unit-trace
+    (d, d) matrix, or raises ValueError as tomo.linear_inversion does.
+    """
+    num_qubits = counts[0].setting.num_qubits
+    dim = 2**num_qubits
+    basis = []
+    for combo in product((IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z), repeat=num_qubits):
+        op = np.array([[1.0 + 0.0j]])
+        for pauli in combo:
+            op = np.kron(op, pauli)
+        basis.append(op / np.sqrt(dim))
+    basis = np.stack(basis)
+    projectors = np.stack([setting_projector(rec.setting) for rec in counts])
+    design = np.real(np.einsum("kij,bji->kb", projectors, basis))
+    if np.linalg.matrix_rank(design, tol=1e-10) < dim * dim:
+        raise ValueError("setting set is not informationally complete")
+    freqs = np.array([rec.count / rec.shots_nominal for rec in counts])
+    coeffs, *_ = np.linalg.lstsq(design, freqs, rcond=None)
+    mat = np.einsum("b,bij->ij", coeffs, basis)
+    mat = 0.5 * (mat + mat.conj().T)
+    trace = float(np.real(np.trace(mat)))
+    if abs(trace) < 1e-12:
+        raise ValueError("degenerate reconstruction with near-zero trace")
+    return mat / trace
+
+
+# ---------------------------------------------------------------------------
+# Codec
+# ---------------------------------------------------------------------------
+
+
+def embedded_z_probability(rho, qubit, outcome):
+    """Tr((|o><o| on one qubit) rho) through the embedded 2^n x 2^n projector."""
+    proj = np.diag([1.0, 0.0] if outcome == 0 else [0.0, 1.0]).astype(complex)
+    full = single_qubit_operator(proj, qubit, rho.num_qubits)
+    return float(np.real(np.trace(full @ rho.matrix)))
+
+
+def embedded_decode(rho, qubit, outcome, correct):
+    """(probability, state) of a Z decoding, corrected by the embedded X on qubit 1."""
+    prob, rest = conditional_state(rho, qubit, outcome)
+    matrix = rest.matrix
+    if correct and outcome == 1:
+        x_full = single_qubit_operator(PAULI_X, 1, rest.num_qubits)
+        matrix = x_full @ matrix @ x_full.conj().T
+    return prob, matrix
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from parityqec.cli import (
     DEFAULT_TARGETS,
+    EXPERIMENTS,
     ConfigError,
     RunConfig,
     build_config,
@@ -81,7 +82,9 @@ class TestConfig:
     def test_to_dict_embeds_resolved_noise(self):
         d = RunConfig("fig2", noise=NoiseModel(0.5, 0.6, 0.7)).to_dict()
         assert d["noise"]["v_nonclassical"] == 0.5
-        assert RunConfig("teleport").to_dict()["noise"] == "unused"
+        # every experiment writes its resolved gate, whether it runs one or not
+        assert RunConfig("teleport").to_dict()["noise"] == load_default_noise().to_dict()
+        assert RunConfig("calibrate", noise=None).to_dict()["noise"] == "ideal"
 
     def test_config_file_merging(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -480,6 +483,23 @@ class TestMain:
         default = json.dumps(load_default_noise().to_dict(), sort_keys=True)
         assert '  noise: "ideal"' in (tmp_path / "a" / "table1_summary.txt").read_text()
         assert f"  noise: {default}" in (tmp_path / "b" / "table1_summary.txt").read_text()
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_configuration_header_is_a_config_file(self, tmp_path, capsys, experiment):
+        summary = tmp_path / "out" / f"{experiment}_summary.txt"
+
+        def header():
+            lines = summary.read_text().splitlines()
+            return lines[2 : lines.index("")]
+
+        assert main([experiment, "--exact", "--out", str(tmp_path / "out")]) == 0
+        first = header()
+        values = dict(line.strip().split(": ", 1) for line in first)
+        config = {key: json.loads(value) for key, value in values.items()}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        assert main([experiment, "--config", str(tmp_path / "run.json")]) == 0
+        assert header() == first
+        capsys.readouterr()
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -18,6 +18,7 @@ from parityqec.codec import (
     ideal_encoded,
     parity_extend,
 )
+from oracles import embedded_decode, embedded_z_probability
 from parityqec.qcore import (
     DensityMatrix,
     ImpossibleOutcomeError,
@@ -156,11 +157,61 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(encoded(PureState(1, [1, 0])), 1, SAMPLED)
 
+    @pytest.mark.parametrize("qubit", [0, 3])
+    @pytest.mark.parametrize("outcome", [0, SAMPLED])
+    def test_out_of_range_qubit_rejected(self, qubit, outcome):
+        enc = encoded(PureState(1, [1, 1]))
+        with pytest.raises(ValueError, match="out of range"):
+            decode(enc, qubit, outcome, rng=np.random.default_rng(0))
+
     def test_impossible_outcome_propagates(self):
         # product |00> is not a code state; conditioning qubit 2 on 1 is impossible
         enc = EncodedState(pure_state([1, 0, 0, 0]).density(), PROVENANCE_IDEAL)
         with pytest.raises(ImpossibleOutcomeError):
             decode(enc, 2, 1)
+
+
+class _FixedDraw:
+    """An rng stand-in whose random() always returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@st.composite
+def code_registers(draw):
+    """An n-qubit register, n = 2-6: a parity-code state or a random mixed state."""
+    n = draw(st.integers(2, MAX_CODE_QUBITS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        payload = PureState(1, rng.normal(size=2) + 1j * rng.normal(size=2))
+        return parity_extend(payload, n).density()
+    dim = 2**n
+    shape = (dim, draw(st.integers(1, dim)))
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = g @ g.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+class TestDecodeOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(code_registers())
+    def test_matches_the_embedded_operator_route(self, rho):
+        enc = EncodedState(rho, PROVENANCE_GATE)
+        for qubit in range(1, rho.num_qubits + 1):
+            for outcome in (0, 1):
+                for correct in (False, True):
+                    result = decode(enc, qubit, outcome, correct)
+                    prob, state = embedded_decode(rho, qubit, outcome, correct)
+                    assert result.probability == prob
+                    assert np.array_equal(result.state.matrix, state)
+            # the sampled outcome is 0 exactly when the draw is below p0
+            p0 = embedded_z_probability(rho, qubit, 0)
+            for draw, want in ((p0 - 1e-15, 0), (p0 + 1e-15, 1)):
+                assert decode(enc, qubit, SAMPLED, rng=_FixedDraw(draw)).outcome == want
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)

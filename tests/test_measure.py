@@ -20,7 +20,7 @@ from parityqec.measure import (
     tomo_settings,
     write_count_records,
 )
-from parityqec.optics import ANALYZER_SETTINGS
+from parityqec.optics import ANALYZER_SETTINGS, REFLECTED, AnalyzerSetting
 from parityqec.qcore import DensityMatrix, pure_state
 from parityqec.tomo import linear_inversion, mle
 
@@ -236,6 +236,23 @@ class TestSerialization:
         path = tmp_path_factory.mktemp("counts") / "counts.csv"
         write_count_records(records, path)
         assert read_count_records(path) == records
+
+    @pytest.mark.parametrize(
+        "analyzers",
+        [
+            # three qubits: the file has columns for two
+            (ANALYZER_SETTINGS["H"], ANALYZER_SETTINGS["D"], ANALYZER_SETTINGS["R"]),
+            # the reflected port: the file holds no port, so it would read
+            # back as the orthogonal, transmitted projector
+            (AnalyzerSetting(0.0, 0.0, REFLECTED),),
+        ],
+    )
+    def test_rejects_settings_the_file_cannot_hold(self, tmp_path, analyzers):
+        record = CountRecord(MeasurementSetting("X", analyzers), 5, 100)
+        path = tmp_path / "counts.csv"
+        with pytest.raises(ValueError, match="transmitted-port"):
+            write_count_records([record], path)
+        assert not path.exists()
 
     def test_byte_identical_output_for_same_seed(self, tmp_path):
         rho = pure_state([1, 1, 1, 1]).density()

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    PAULI_X,
     Operator,
     apply_to_pure,
     apply_unitary,
     fidelity_mixed,
     min_eigenvalue,
     partial_trace,
+    single_qubit_operator,
     stokes,
     trace_distance,
 )
@@ -17,7 +19,6 @@ from parityqec.qcore import (
     DensityMatrix,
     HermitianMatrix,
     ImpossibleOutcomeError,
-    PAULI_X,
     PureState,
     conditional_state,
     density_matrix_from_dict,
@@ -25,7 +26,6 @@ from parityqec.qcore import (
     fidelity,
     kron,
     pure_state,
-    single_qubit_operator,
 )
 
 RNG = np.random.default_rng(20240811)

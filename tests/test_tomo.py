@@ -14,7 +14,7 @@ from parityqec.measure import (
     simulate_counts,
     tomo_settings,
 )
-from oracles import min_eigenvalue, trace_distance
+from oracles import min_eigenvalue, pauli_linear_inversion, trace_distance
 from parityqec.qcore import DensityMatrix, PureState, fidelity, pure_state
 from parityqec import tomo
 from parityqec.tomo import TomographyResult, linear_inversion, mle
@@ -68,6 +68,44 @@ class TestLinearInversion:
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
             linear_inversion([])
+
+
+@st.composite
+def inversion_inputs(draw):
+    """Sampled counts, with unequal nominal shots, on a random subset of a scheme.
+
+    The subset keeps at least half of the 1- or 2-qubit settings, in a random
+    order; dropping any minimal setting, or the wrong overcomplete ones,
+    leaves a set that is not informationally complete.
+    """
+    num_qubits = draw(st.sampled_from([1, 2]))
+    scheme = draw(st.sampled_from([MINIMAL, OVERCOMPLETE]))
+    full = tomo_settings(num_qubits, scheme)
+    order = draw(st.permutations(range(len(full))))
+    chosen = [full[k] for k in order[: len(full) - draw(st.integers(0, len(full) // 2))]]
+    shots = draw(st.lists(st.integers(1, 10_000), min_size=len(chosen), max_size=len(chosen)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2**num_qubits
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = DensityMatrix(num_qubits, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    probs = [rec.count for rec in expected_counts(rho, chosen, 1)]
+    return [
+        CountRecord(setting, int(rng.poisson(n * p)), n)
+        for setting, n, p in zip(chosen, shots, probs)
+    ]
+
+
+class TestLinearInversionOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inversion_inputs())
+    def test_matches_the_pauli_basis_inversion(self, counts):
+        try:
+            want = pauli_linear_inversion(counts)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                linear_inversion(counts)
+            return
+        np.testing.assert_allclose(linear_inversion(counts).matrix, want, rtol=0, atol=1e-12)
 
 
 class TestMle:
