@@ -29,7 +29,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import __version__
 from .cnotgate import NoiseModel, _noisy_cnot_batch
@@ -542,6 +541,10 @@ def calibrate_noise(
     12-15 ms; targets outside the reachable set run all eight starts, up to
     649 evaluations and 0.38 s over 100 random targets.
     """
+    # imported here, the one solver call in this module, so that the other
+    # experiments start without scipy
+    from scipy.optimize import least_squares
+
     target_arr = np.asarray(targets, dtype=float)
     if target_arr.shape != (3,) or np.any(target_arr <= 0) or np.any(target_arr > 1):
         raise ValueError("targets must be three fidelities in (0, 1]")

@@ -26,7 +26,7 @@ from .qcore import (
     ImpossibleOutcomeError,
     PureState,
     _check_density,
-    conditional_state,
+    _conditional_block,
     kron,
 )
 
@@ -137,17 +137,15 @@ def decode(
         outcome = 0 if rng.random() < p0 else 1
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0, 1 or SAMPLED")
-    prob, rest = conditional_state(rho, measured_qubit, outcome)
-    applied = False
-    if correct and outcome == 1:
+    prob, rest = _conditional_block(rho, measured_qubit, outcome)
+    applied = bool(correct) and outcome == 1
+    if applied:
         # flipping any single qubit of a parity-code register flips the
         # logical qubit; X on the first remaining one reverses its row and
         # column index
-        dim = rest.matrix.shape[0]
-        flipped = rest.matrix.reshape(2, dim // 2, 2, dim // 2)[::-1, :, ::-1, :]
-        rest = DensityMatrix(rest.num_qubits, flipped.reshape(dim, dim))
-        applied = True
-    return DecodedResult(outcome, prob, rest, applied)
+        dim = rest.shape[0]
+        rest = rest.reshape(2, dim // 2, 2, dim // 2)[::-1, :, ::-1, :].reshape(dim, dim)
+    return DecodedResult(outcome, prob, DensityMatrix(rho.num_qubits - 1, rest), applied)
 
 
 def _decode_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

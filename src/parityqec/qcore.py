@@ -173,6 +173,12 @@ def conditional_state(rho: DensityMatrix, measured: int, outcome: int) -> tuple[
     Raises:
         ImpossibleOutcomeError: outcome probability is below PROB_FLOOR.
     """
+    prob, block = _conditional_block(rho, measured, outcome)
+    return prob, DensityMatrix(rho.num_qubits - 1, block)
+
+
+def _conditional_block(rho: DensityMatrix, measured: int, outcome: int) -> tuple[float, np.ndarray]:
+    """conditional_state's probability and normalized block, not yet validated."""
     n = rho.num_qubits
     if n < 2:
         raise ValueError("conditioning needs at least 2 qubits")
@@ -191,7 +197,7 @@ def conditional_state(rho: DensityMatrix, measured: int, outcome: int) -> tuple[
         raise ImpossibleOutcomeError(
             f"outcome {outcome} on qubit {measured} has probability {prob:.3e}"
         )
-    return prob, DensityMatrix(n - 1, sub / prob)
+    return prob, sub / prob
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .measure import MINIMAL, OVERCOMPLETE, CountRecord, _projector_stack
 from .qcore import DensityMatrix, HermitianMatrix
@@ -216,6 +215,10 @@ def _ascend(
         steps.append((latest["x"], latest["gain"], gap))
         if gap <= tol:
             raise StopIteration
+
+    # imported here, not at module level, so that runs whose cells are all
+    # certified at the warm start never load scipy
+    from scipy.optimize import minimize
 
     minimize(
         objective,

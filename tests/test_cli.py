@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -533,3 +536,59 @@ class TestMain:
         row_12 = [line for line in table if line.startswith("1,2,")][0]
         assert row_12.split(",")[2] == "0.7500000000"
         capsys.readouterr()
+
+
+# Runs main() on each argv in a fresh interpreter, which has imported nothing
+# yet, and prints the exit codes and the scipy modules loaded by the end.
+_COLD_RUN = """
+import contextlib, io, json, sys
+import parityqec, parityqec.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(parityqec.cli.main(argv))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def _cold_run(tmp_path, *argvs):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argvs = [[*argv, "--out", str(tmp_path / "out")] for argv in argvs]
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """scipy is imported only on the two paths that run a solver."""
+
+    def test_runs_without_a_solver_never_import_scipy(self, tmp_path):
+        argvs = [
+            ["table1"],
+            ["teleport"],
+            ["fig2", "--exact"],
+            ["fig3", "--exact"],
+            ["fig4", "--exact"],
+        ]
+        run = _cold_run(tmp_path, *argvs)
+        assert run["codes"] == [0] * len(argvs)
+        assert run["scipy"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig2", "--seed", "1", "--shots", "500"], ["calibrate"]],
+        ids=["fig2", "calibrate"],
+    )
+    def test_a_solver_imports_scipy_from_a_cold_process(self, tmp_path, argv):
+        # the positive control: each deferred import is reached and works
+        run = _cold_run(tmp_path, argv)
+        assert run["codes"] == [0]
+        assert "scipy.optimize" in run["scipy"]

@@ -19,6 +19,7 @@ from parityqec.codec import (
     parity_extend,
 )
 from oracles import embedded_decode, embedded_z_probability
+from parityqec import qcore
 from parityqec.qcore import (
     DensityMatrix,
     ImpossibleOutcomeError,
@@ -169,6 +170,16 @@ class TestDecode:
         enc = EncodedState(pure_state([1, 0, 0, 0]).density(), PROVENANCE_IDEAL)
         with pytest.raises(ImpossibleOutcomeError):
             decode(enc, 2, 1)
+
+    @pytest.mark.parametrize("correct", [False, True])
+    @pytest.mark.parametrize("outcome", [0, 1])
+    def test_validates_the_surviving_state_once(self, monkeypatch, outcome, correct):
+        enc = encoded(random_payload(np.random.default_rng(13)))
+        checks = []
+        check = qcore._check_density
+        monkeypatch.setattr(qcore, "_check_density", lambda m: checks.append(m) or check(m))
+        decode(enc, 1, outcome, correct)
+        assert len(checks) == 1
 
 
 class _FixedDraw:
