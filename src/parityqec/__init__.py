@@ -11,7 +11,7 @@ tables and scans of the accompanying experiment analysis.
 __version__ = "0.1.0"
 
 from .cnotgate import NoiseModel, build_mode_network, noisy_cnot, postselect_cnot
-from .codec import EncodedState, decode, encode, ideal_encoded, parity_extend
+from .codec import decode, encode, ideal_encoded, parity_extend
 from .measure import expected_counts, simulate_counts, tomo_settings
 from .optics import prepare_input
 from .qcore import (
@@ -33,7 +33,6 @@ from .tomo import TomographyResult, linear_inversion, mle
 __all__ = [
     "__version__",
     "DensityMatrix",
-    "EncodedState",
     "HermitianMatrix",
     "ImpossibleOutcomeError",
     "NoiseModel",

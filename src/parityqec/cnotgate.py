@@ -238,6 +238,8 @@ def noisy_cnot(rho_in: DensityMatrix, noise: NoiseModel) -> tuple[float, Density
     It is evaluated as one contraction of precomputed terms (_channel_terms).
     Returns (coincidence probability, normalized output state).
     """
+    if not isinstance(noise, NoiseModel):
+        raise ValueError(f"gate must be a NoiseModel, got {noise!r}")
     if rho_in.num_qubits != 2:
         raise ValueError("the gate acts on 2-qubit states")
     probs, outs = _noisy_cnot_batch(rho_in.matrix, noise)

@@ -23,15 +23,12 @@ from .optics import HWP, WaveplateSetting, waveplate
 from .qcore import (
     PROB_FLOOR,
     DensityMatrix,
-    ImpossibleOutcomeError,
     PureState,
     _check_density,
-    _conditional_block,
+    _normalised,
+    _z_blocks,
     kron,
 )
-
-PROVENANCE_IDEAL = "ideal"
-PROVENANCE_GATE = "gate-simulated"
 
 SAMPLED = "sampled"
 
@@ -39,22 +36,6 @@ MAX_CODE_QUBITS = 6
 
 # |H> through the half-wave plate: the first column of its Jones matrix
 _CONTROL_PLUS = PureState(1, waveplate(WaveplateSetting(HWP, 22.5))[:, 0])
-
-
-@dataclass(frozen=True, eq=False)
-class EncodedState:
-    """A code-qubit register plus bookkeeping about where it came from."""
-
-    state: DensityMatrix
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in (PROVENANCE_IDEAL, PROVENANCE_GATE):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-    @property
-    def num_qubits(self) -> int:
-        return self.state.num_qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,37 +56,27 @@ class DecodedResult:
 
 def ideal_encoded(psi: PureState) -> PureState:
     """The exact code state a(|00>+|11>)/sqrt2 + b(|01>+|10>)/sqrt2."""
-    if psi.num_qubits != 1:
-        raise ValueError("the code encodes a single qubit")
-    a, b = psi.amplitudes
-    return PureState(2, np.array([a, b, b, a]) / np.sqrt(2.0))
+    return parity_extend(psi, 2)
 
 
-def encode(psi: PureState, gate: str | NoiseModel = "ideal") -> tuple[float, EncodedState]:
+def encode(psi: PureState, gate: NoiseModel = NoiseModel()) -> tuple[float, DensityMatrix]:
     """Run the payload through the encoder CNOT.
 
     Args:
         psi: 1-qubit payload, becomes the target input.
-        gate: "ideal" for the gate at visibilities (1, 1, 1), or a NoiseModel.
-            Both run the same channel (cnotgate.noisy_cnot) as the CLI does.
+        gate: the gate's visibilities; the default (1, 1, 1) is the ideal
+            gate. The channel is cnotgate.noisy_cnot, as in the CLI.
 
     Returns:
         (coincidence probability, encoded 2-qubit state).
     """
     if psi.num_qubits != 1:
         raise ValueError("the code encodes a single qubit")
-    if isinstance(gate, str):
-        if gate != "ideal":
-            raise ValueError(f"gate must be 'ideal' or a NoiseModel, got {gate!r}")
-        gate, provenance = NoiseModel.ideal(), PROVENANCE_IDEAL
-    else:
-        provenance = PROVENANCE_GATE
-    prob, rho = noisy_cnot(kron(_CONTROL_PLUS, psi).density(), gate)
-    return prob, EncodedState(rho, provenance)
+    return noisy_cnot(kron(_CONTROL_PLUS, psi).density(), gate)
 
 
 def decode(
-    encoded: EncodedState,
+    rho: DensityMatrix,
     measured_qubit: int = 1,
     outcome: int | str = 0,
     correct: bool = True,
@@ -114,7 +85,7 @@ def decode(
     """Z-measure one code qubit and return the surviving register.
 
     Args:
-        encoded: the code state (2 or more qubits).
+        rho: the code state (2 or more qubits).
         measured_qubit: 1-based index of the qubit to measure.
         outcome: 0, 1, or SAMPLED to draw from the state's own statistics.
         correct: apply the X correction when the outcome is 1, so the result
@@ -124,53 +95,45 @@ def decode(
     Returns:
         DecodedResult with the post-measurement (n-1)-qubit state.
     """
-    rho = encoded.state
+    if outcome == SAMPLED and rng is None:
+        raise ValueError("sampled decoding requires an rng")
+    blocks = _z_blocks(rho.matrix, measured_qubit)
     if outcome == SAMPLED:
-        if rng is None:
-            raise ValueError("sampled decoding requires an rng")
-        n = rho.num_qubits
-        if not 1 <= measured_qubit <= n:
-            raise ValueError(f"qubit index {measured_qubit} out of range for {n} qubits")
-        # the diagonal entries whose measured bit is 0
-        diag = np.real(rho.matrix.diagonal()).reshape(2 ** (measured_qubit - 1), 2, -1)
-        p0 = float(diag[:, 0].sum())
-        outcome = 0 if rng.random() < p0 else 1
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0, 1 or SAMPLED")
-    prob, rest = _conditional_block(rho, measured_qubit, outcome)
+        outcome = 0 if rng.random() < np.real(np.trace(blocks[0])) else 1
+    prob, rest = _normalised(blocks, measured_qubit, outcome)
     applied = bool(correct) and outcome == 1
-    if applied:
-        # flipping any single qubit of a parity-code register flips the
-        # logical qubit; X on the first remaining one reverses its row and
-        # column index
-        dim = rest.shape[0]
-        rest = rest.reshape(2, dim // 2, 2, dim // 2)[::-1, :, ::-1, :].reshape(dim, dim)
+    rest = _flip_first(rest) if applied else rest
     return DecodedResult(outcome, prob, DensityMatrix(rho.num_qubits - 1, rest), applied)
+
+
+def _flip_first(mats: np.ndarray) -> np.ndarray:
+    """The X correction: the first qubit's row and column bit of each (..., d, d) reversed.
+
+    X on any one qubit of a parity-code register flips the logical qubit.
+    """
+    half = mats.shape[-1] // 2
+    return mats.reshape(mats.shape[:-2] + (2, half, 2, half))[..., ::-1, :, ::-1, :].reshape(mats.shape)
 
 
 def _decode_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All four corrected Z decodings of a stack of 2-qubit states, (n, 4, 4).
 
-    Reshaped to (2, 2, 2, 2), a state holds its decodings as conditional 2x2
-    blocks: qubit 1 with outcome o is the [o, :, o, :] block, qubit 2 the
-    [:, o, :, o] one, each normalised by its trace (the outcome probability).
-    The X correction after outcome 1 swaps the two surviving amplitudes.
+    Each decoding is a Z block of qubit 1 or 2 (qcore._z_blocks), normalised by
+    its trace (the outcome probability) and X-corrected after outcome 1.
 
     Returns (outcome probabilities (n, 2, 2), decoded states (n, 2, 2, 2, 2)),
     indexed [input, measured qubit - 1, outcome]. An outcome below PROB_FLOOR
     raises ImpossibleOutcomeError, and the decoded states are validated as
     density matrices in one batched check.
     """
-    t = states.reshape(-1, 2, 2, 2, 2)
-    blocks = np.stack([np.einsum("noaob->noab", t), np.einsum("naobo->noab", t)], axis=1)
-    probs = np.real(np.trace(blocks, axis1=-2, axis2=-1))
+    # concatenate, not stack, and the 2x2 trace written out: cheaper per call
+    blocks = np.concatenate([_z_blocks(states, 1)[:, None], _z_blocks(states, 2)[:, None]], axis=1)
+    probs = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
     if probs.min() < PROB_FLOOR:
-        _, qubit, outcome = np.unravel_index(np.argmin(probs), probs.shape)
-        raise ImpossibleOutcomeError(
-            f"outcome {outcome} on qubit {qubit + 1} has probability {probs.min():.3e}"
-        )
+        cell, qubit, outcome = np.unravel_index(np.argmin(probs), probs.shape)
+        _normalised(blocks[cell, qubit], qubit + 1, outcome)  # raises ImpossibleOutcomeError
     decoded = blocks / probs[..., None, None]
-    decoded[:, :, 1] = decoded[:, :, 1, ::-1, ::-1]
+    decoded[:, :, 1] = _flip_first(decoded[:, :, 1])
     _check_density(decoded)
     return probs, decoded
 
@@ -179,16 +142,12 @@ def parity_extend(psi: PureState, n: int) -> PureState:
     """The n-qubit parity-code state of a 1-qubit payload.
 
     Amplitude a/sqrt(2^(n-1)) on every even-parity basis string and
-    b/sqrt(2^(n-1)) on every odd-parity one; n = 2 reduces to ideal_encoded.
+    b/sqrt(2^(n-1)) on every odd-parity one; n = 2 is ideal_encoded.
     """
     if psi.num_qubits != 1:
         raise ValueError("the code encodes a single qubit")
     if not 2 <= n <= MAX_CODE_QUBITS:
         raise ValueError(f"n must lie in [2, {MAX_CODE_QUBITS}]")
     a, b = psi.amplitudes
-    scale = 1.0 / np.sqrt(2.0 ** (n - 1))
-    amps = np.empty(2**n, dtype=complex)
-    for idx in range(2**n):
-        amps[idx] = (a if bin(idx).count("1") % 2 == 0 else b) * scale
-    return PureState(n, amps)
-
+    odd = np.array([bin(idx).count("1") % 2 for idx in range(2**n)], dtype=bool)
+    return PureState(n, np.where(odd, b, a) / np.sqrt(2.0 ** (n - 1)))

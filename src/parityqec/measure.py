@@ -217,7 +217,7 @@ def read_count_records(path) -> list[CountRecord]:
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != _CSV_HEADER:
             raise ValueError(f"unexpected header {header}")
         for row in reader:

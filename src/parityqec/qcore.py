@@ -173,31 +173,39 @@ def conditional_state(rho: DensityMatrix, measured: int, outcome: int) -> tuple[
     Raises:
         ImpossibleOutcomeError: outcome probability is below PROB_FLOOR.
     """
-    prob, block = _conditional_block(rho, measured, outcome)
+    prob, block = _normalised(_z_blocks(rho.matrix, measured), measured, outcome)
     return prob, DensityMatrix(rho.num_qubits - 1, block)
 
 
-def _conditional_block(rho: DensityMatrix, measured: int, outcome: int) -> tuple[float, np.ndarray]:
-    """conditional_state's probability and normalized block, not yet validated."""
-    n = rho.num_qubits
+def _z_blocks(mats: np.ndarray, measured: int) -> np.ndarray:
+    """Unnormalised Z-measurement blocks of one qubit, for a stack of matrices.
+
+    mats is (..., d, d) over n >= 2 qubits; the result is (..., 2, d/2, d/2),
+    indexed by outcome. Block o keeps the rows and columns whose measured bit
+    is o, so its trace is the outcome's probability.
+    """
+    dim = mats.shape[-1]
+    n = dim.bit_length() - 1
     if n < 2:
         raise ValueError("conditioning needs at least 2 qubits")
     if not 1 <= measured <= n:
         raise ValueError(f"qubit index {measured} out of range for {n} qubits")
+    split = (2 ** (measured - 1), 2, dim >> measured)  # qubits before, measured, after
+    blocks = np.einsum("...aobcod->...oabcd", mats.reshape(mats.shape[:-2] + split + split))
+    return blocks.reshape(blocks.shape[:-4] + (dim // 2, dim // 2))
+
+
+def _normalised(blocks: np.ndarray, measured: int, outcome: int) -> tuple[float, np.ndarray]:
+    """Probability and normalised block of one outcome of _z_blocks, not yet validated."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    t = rho.matrix.reshape((2,) * (2 * n))
-    sub = np.take(t, outcome, axis=measured - 1)
-    # Removing the row axis shifts the matching column axis down by one.
-    sub = np.take(sub, outcome, axis=n + measured - 2)
-    dim = 2 ** (n - 1)
-    sub = sub.reshape(dim, dim)
-    prob = float(np.real(np.trace(sub)))
+    block = blocks[outcome]
+    prob = float(np.real(np.trace(block)))
     if prob < PROB_FLOOR:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} on qubit {measured} has probability {prob:.3e}"
         )
-    return prob, sub / prob
+    return prob, block / prob
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +227,8 @@ def _matrix_to_dict(matrix: np.ndarray) -> dict:
 
 
 def density_matrix_from_dict(data: dict) -> DensityMatrix:
+    if not isinstance(data, dict) or not {"num_qubits", "re", "im"} <= data.keys():
+        raise ValueError("density-matrix data needs the keys num_qubits, re and im")
     n = int(data["num_qubits"])
     dim = 2**n
     mat = (np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)).reshape(dim, dim)

@@ -9,16 +9,18 @@ operators is what the gate tests assert.
 The noisy-channel and pipeline oracles start from those (tested) operators
 but take the slow road from there: the gate summed over its four dephasing
 branches, and the pipeline means computed one encode/decode/fidelity cell at
-a time. The production code contracts precomputed terms over a batch instead.
+a time, each decoding gathered index by index. The production code contracts
+precomputed terms over a batch instead.
 
 The state-algebra, measurement, codec, optics and teleport helpers at the
 end are independent references that the program itself has no use for:
 general fidelity, trace distance, the minimum eigenvalue, single-qubit
 operators embedded in a register, partial trace, Pauli expectations,
-operator application, linear inversion over the Pauli basis, Z decoding
-through embedded operators, the preparation recipe run through the wave
-plates, the analyzed states, the exact Z statistics of the width-2 code, and
-the teleport protocol replayed along a forced decision sequence.
+operator application, linear inversion over the Pauli basis, Z blocks
+gathered by index arithmetic and corrected by embedded operators, the
+preparation recipe run through the wave plates, the analyzed states, the
+exact Z statistics of the width-2 code, and the teleport protocol replayed
+along a forced decision sequence.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,6 @@ from parityqec.qcore import (
     DensityMatrix,
     PureState,
     _as_complex_array,
-    conditional_state,
     fidelity,
     kron,
     pure_state,
@@ -152,7 +153,8 @@ def per_cell_pipeline_means(noise):
         decoded = []
         for qubit in (1, 2):
             for outcome in (0, 1):
-                rest = conditional_state(encoded, qubit, outcome)[1].matrix
+                prob, block = indexed_z_block(encoded.matrix, qubit, outcome)
+                rest = block / prob
                 if outcome == 1:
                     rest = PAULI_X @ rest @ PAULI_X
                 decoded.append(fidelity(DensityMatrix(1, rest), psi))
@@ -316,12 +318,28 @@ def embedded_z_probability(rho, qubit, outcome):
     return float(np.real(np.trace(full @ rho.matrix)))
 
 
+def indexed_z_block(matrix, qubit, outcome):
+    """(probability, unnormalised block) of a Z outcome, gathered index by index.
+
+    Each remaining basis index r of the (n-1)-qubit register gets the measured
+    bit inserted at the measured qubit's position (qubit 1 is the most
+    significant bit); the block is the matrix restricted to those rows and
+    columns, and its trace is the outcome's probability.
+    """
+    n = matrix.shape[0].bit_length() - 1
+    shift = n - qubit
+    rest = np.arange(2 ** (n - 1))
+    full = ((rest >> shift) << (shift + 1)) | (outcome << shift) | (rest & ((1 << shift) - 1))
+    block = matrix[np.ix_(full, full)]
+    return float(np.real(np.trace(block))), block
+
+
 def embedded_decode(rho, qubit, outcome, correct):
     """(probability, state) of a Z decoding, corrected by the embedded X on qubit 1."""
-    prob, rest = conditional_state(rho, qubit, outcome)
-    matrix = rest.matrix
+    prob, block = indexed_z_block(rho.matrix, qubit, outcome)
+    matrix = block / prob
     if correct and outcome == 1:
-        x_full = single_qubit_operator(PAULI_X, 1, rest.num_qubits)
+        x_full = single_qubit_operator(PAULI_X, 1, rho.num_qubits - 1)
         matrix = x_full @ matrix @ x_full.conj().T
     return prob, matrix
 
@@ -367,9 +385,7 @@ def z_outcome_probabilities(psi):
     single-qubit Z measurements.
     """
     register = parity_extend(psi, 2).density()
-    p0, _ = conditional_state(register, 1, 0)
-    p1, _ = conditional_state(register, 1, 1)
-    return p0, p1
+    return indexed_z_block(register.matrix, 1, 0)[0], indexed_z_block(register.matrix, 1, 1)[0]
 
 
 def teleport_trajectory(psi, decisions):

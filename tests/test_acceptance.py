@@ -74,7 +74,7 @@ def test_criterion_2_ideal_roundtrip():
     worst = 1.0
     cells = 0
     for psi in SWEEP_INPUTS:
-        _, encoded = encode(psi, gate="ideal")
+        _, encoded = encode(psi)
         for qubit in (1, 2):
             for outcome in (0, 1):
                 decoded = decode(encoded, qubit, outcome, correct=True)
@@ -99,8 +99,8 @@ def test_criterion_3_reference_code_states():
         "0-i1": pure_state([0.5, -0.5j, -0.5j, 0.5]),
     }
     for label, psi in REFERENCE_INPUTS:
-        _, encoded = encode(psi, gate="ideal")
-        fid = fidelity(encoded.state, expected_kets[label])
+        _, encoded = encode(psi)
+        fid = fidelity(encoded, expected_kets[label])
         assert fid >= 1.0 - 1e-10
     _report(3, "all six encoded reference kets reproduced at fidelity 1")
 
@@ -116,10 +116,10 @@ def test_criterion_4_decode_statistics_are_exactly_fair():
     for psi in states:
         a, b = psi.amplitudes
         closed_form = (abs(a) ** 2 + abs(b) ** 2) / 2.0
-        _, encoded = encode(psi, gate="ideal")
+        _, encoded = encode(psi)
         for qubit in (1, 2):
-            p0, _ = conditional_state(encoded.state, qubit, 0)
-            p1, _ = conditional_state(encoded.state, qubit, 1)
+            p0, _ = conditional_state(encoded, qubit, 0)
+            p1, _ = conditional_state(encoded, qubit, 1)
             for p in (closed_form, p0, p1):
                 worst = max(worst, abs(p - 0.5))
                 assert p == pytest.approx(0.5, abs=1e-12)
@@ -129,7 +129,7 @@ def test_criterion_4_decode_statistics_are_exactly_fair():
 def test_criterion_5_tomography_accuracy():
     start = time.perf_counter()
     settings = tomo_settings(2, "minimal")
-    encoded_states = [encode(psi, gate="ideal")[1].state for _, psi in REFERENCE_INPUTS]
+    encoded_states = [encode(psi)[1] for _, psi in REFERENCE_INPUTS]
     targets = [ideal_encoded(psi) for _, psi in REFERENCE_INPUTS]
 
     exact_worst = 1.0

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from parityqec.cnotgate import NoiseModel
 from parityqec.codec import (
     MAX_CODE_QUBITS,
-    PROVENANCE_GATE,
-    PROVENANCE_IDEAL,
     SAMPLED,
-    EncodedState,
     _decode_batch,
     decode,
     encode,
@@ -39,7 +36,7 @@ def random_payload(rng):
 
 
 def encoded(psi):
-    return EncodedState(ideal_encoded(psi).density(), PROVENANCE_IDEAL)
+    return ideal_encoded(psi).density()
 
 
 class TestIdealEncoded:
@@ -82,26 +79,25 @@ class TestEncode:
         rng = np.random.default_rng(7)
         for _ in range(20):
             psi = random_payload(rng)
-            prob, enc = encode(psi, "ideal")
+            prob, enc = encode(psi)
             assert prob == pytest.approx(1.0 / 9.0, abs=1e-12)
-            assert enc.provenance == PROVENANCE_IDEAL
-            assert fidelity(enc.state, ideal_encoded(psi)) == pytest.approx(
+            assert fidelity(enc, ideal_encoded(psi)) == pytest.approx(
                 1.0, abs=1e-10
             )
 
-    def test_noisy_gate_provenance_and_validity(self):
+    def test_noisy_gate_validity(self):
         prob, enc = encode(PureState(1, [1, 0]), NoiseModel(0.8, 0.9, 0.95))
-        assert enc.provenance == PROVENANCE_GATE
         assert prob > 1.0 / 9.0 - 1e-12
-        assert fidelity(enc.state, ideal_encoded(PureState(1, [1, 0]))) < 1.0
+        assert fidelity(enc, ideal_encoded(PureState(1, [1, 0]))) < 1.0
 
     def test_rejects_multi_qubit_payload(self):
         with pytest.raises(ValueError):
             encode(pure_state([1, 0, 0, 0]))
 
     def test_rejects_unknown_gate_string(self):
-        with pytest.raises(ValueError):
-            encode(PureState(1, [1, 0]), "perfect")
+        for gate in ("perfect", "ideal"):
+            with pytest.raises(ValueError, match="NoiseModel"):
+                encode(PureState(1, [1, 0]), gate)
 
 
 class TestDecode:
@@ -167,9 +163,8 @@ class TestDecode:
 
     def test_impossible_outcome_propagates(self):
         # product |00> is not a code state; conditioning qubit 2 on 1 is impossible
-        enc = EncodedState(pure_state([1, 0, 0, 0]).density(), PROVENANCE_IDEAL)
         with pytest.raises(ImpossibleOutcomeError):
-            decode(enc, 2, 1)
+            decode(pure_state([1, 0, 0, 0]).density(), 2, 1)
 
     @pytest.mark.parametrize("correct", [False, True])
     @pytest.mark.parametrize("outcome", [0, 1])
@@ -211,18 +206,17 @@ class TestDecodeOracle:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(code_registers())
     def test_matches_the_embedded_operator_route(self, rho):
-        enc = EncodedState(rho, PROVENANCE_GATE)
         for qubit in range(1, rho.num_qubits + 1):
             for outcome in (0, 1):
                 for correct in (False, True):
-                    result = decode(enc, qubit, outcome, correct)
+                    result = decode(rho, qubit, outcome, correct)
                     prob, state = embedded_decode(rho, qubit, outcome, correct)
                     assert result.probability == prob
                     assert np.array_equal(result.state.matrix, state)
             # the sampled outcome is 0 exactly when the draw is below p0
             p0 = embedded_z_probability(rho, qubit, 0)
             for draw, want in ((p0 - 1e-15, 0), (p0 + 1e-15, 1)):
-                assert decode(enc, qubit, SAMPLED, rng=_FixedDraw(draw)).outcome == want
+                assert decode(rho, qubit, SAMPLED, rng=_FixedDraw(draw)).outcome == want
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -256,14 +250,11 @@ class TestDecodeBatch:
     def test_matches_per_cell_decode(self, rhos):
         probs, decoded = _decode_batch(rhos)
         for idx, rho in enumerate(rhos):
-            enc = EncodedState(DensityMatrix(2, rho), PROVENANCE_GATE)
             for qubit in (1, 2):
                 for outcome in (0, 1):
-                    cell = decode(enc, qubit, outcome, correct=True)
-                    assert abs(probs[idx, qubit - 1, outcome] - cell.probability) <= 1e-12
-                    np.testing.assert_allclose(
-                        decoded[idx, qubit - 1, outcome], cell.state.matrix, rtol=0, atol=1e-12
-                    )
+                    cell = decode(DensityMatrix(2, rho), qubit, outcome, correct=True)
+                    assert probs[idx, qubit - 1, outcome] == cell.probability
+                    assert np.array_equal(decoded[idx, qubit - 1, outcome], cell.state.matrix)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(payload_lists())
@@ -313,7 +304,7 @@ class TestParityExtend:
         rng = np.random.default_rng(15)
         psi = random_payload(rng)
         for n in range(3, MAX_CODE_QUBITS + 1):
-            enc = EncodedState(parity_extend(psi, n).density(), PROVENANCE_IDEAL)
+            enc = parity_extend(psi, n).density()
             for qubit in range(1, n + 1):
                 for outcome in (0, 1):
                     result = decode(enc, qubit, outcome, correct=True)

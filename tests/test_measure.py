@@ -264,9 +264,10 @@ class TestSerialization:
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("nope,really\n1,2\n")
-        with pytest.raises(ValueError):
-            read_count_records(path)
+        for text in ("nope,really\n1,2\n", ""):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                read_count_records(path)
 
     def test_rejects_non_finite_count_on_read(self, tmp_path):
         path = tmp_path / "nan.csv"

@@ -1,5 +1,7 @@
 """Tests for state containers, conditioning, reduction and fidelity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ from parityqec.qcore import (
     density_matrix_to_dict,
     fidelity,
     kron,
+    load_density_matrix,
     pure_state,
+    save_density_matrix,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -248,3 +252,12 @@ class TestSerialization:
         assert data["num_qubits"] == 1
         assert len(data["re"]) == 4 and len(data["im"]) == 4
         assert data["im"][1] == pytest.approx(-0.5)  # row-major upper off-diagonal
+
+    def test_load_rejects_a_file_without_a_field(self, tmp_path):
+        path = tmp_path / "rho.json"
+        save_density_matrix(pure_state([1, 1j]).density(), path)
+        data = json.loads(path.read_text())
+        for key in data:
+            path.write_text(json.dumps({k: v for k, v in data.items() if k != key}))
+            with pytest.raises(ValueError, match="num_qubits, re and im"):
+                load_density_matrix(path)
