@@ -11,9 +11,9 @@ Subcommands (named after the analyses they reproduce):
 Every run is a pure function of its configuration: sampling seeds are derived
 per pipeline cell (input x qubit x outcome) from the run seed, so cells are
 independent and their execution order cannot matter, and identical configs
-produce byte-identical output files. Reports embed the resolved configuration
-and the package version; no timestamps. shots counts the post-selected
-coincidences collected per analyzer setting.
+produce byte-identical output files. Reports embed the resolved settings the
+experiment reads and the package version; no timestamps. shots counts the
+post-selected coincidences collected per analyzer setting.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ class RunConfig:
             raise ConfigError("budget too small to search at all")
 
     def to_dict(self) -> dict:
-        return {
+        """The experiment, out and the settings the experiment reads: the report header."""
+        values = {
             "experiment": self.experiment,
             "noise": "ideal" if self.noise is None else self.noise.to_dict(),
             "shots": self.shots,
@@ -140,6 +141,8 @@ class RunConfig:
             "targets": list(self.targets),
             "budget": self.budget,
         }
+        _, _, reads = EXPERIMENTS[self.experiment]
+        return {key: values[key] for key in ("experiment", "out", *reads)}
 
 
 def _cell_seed(base: int, *key: int) -> int:
@@ -622,20 +625,46 @@ def run_calibrate(config: RunConfig) -> dict:
 # Command line front end
 # ---------------------------------------------------------------------------
 
-# every experiment: its runner and its one-line help
+# every experiment: its runner, its one-line help and the run settings it reads,
+# its only flags and (with experiment and out) its only header and config keys
+_SAMPLED = ("noise", "shots", "seed", "scheme", "exact")
+_CHARTED = (*_SAMPLED, "plots")
 EXPERIMENTS = {
-    "table1": (run_table1, "encoder truth table for the six reference inputs"),
-    "fig2": (run_fig2, "2-qubit tomography of the encoded reference states"),
-    "fig3": (run_fig3, "the four Z-measurement decodings of the fig2 reconstructions"),
-    "fig4": (run_fig4, "direct conditioned 1-qubit tomography over the input sweeps"),
-    "teleport": (run_teleport, "success-law table for teleportation on the width-2 code"),
-    "calibrate": (run_calibrate, "fit the noise model to target pipeline means"),
+    "table1": (run_table1, "encoder truth table for the six reference inputs", ("noise",)),
+    "fig2": (run_fig2, "2-qubit tomography of the encoded reference states", _CHARTED),
+    "fig3": (run_fig3, "the four Z-measurement decodings of the fig2 reconstructions", _CHARTED),
+    "fig4": (run_fig4, "direct conditioned 1-qubit tomography over the input sweeps", _SAMPLED),
+    "teleport": (run_teleport, "success-law table for teleportation on the width-2 code", ("seed",)),
+    "calibrate": (run_calibrate, "fit the noise model to target pipeline means", ("targets", "budget")),
+}
+
+# a switch that was not given reads None, as every other unset flag does
+_SWITCH = dict(action="store_true", default=None)
+# each run setting's flags and their argparse options; a setting's flags exclude each other
+_FLAGS = {
+    "noise": {
+        "--noise": dict(
+            metavar="V_NC,V_CC,V_CT",
+            help="visibilities: non-classical, classical control, classical target",
+        ),
+        "--ideal": dict(
+            action="store_const", const="ideal", help="run the perfect gate instead of a noise model"
+        ),
+    },
+    "shots": {"--shots": dict(type=int, help="coincidences per analyzer setting")},
+    "seed": {"--seed": dict(type=int, help="run seed; every cell derives its own stream")},
+    "scheme": {"--scheme": dict(choices=(MINIMAL, OVERCOMPLETE), help="tomography settings set")},
+    "exact": {"--exact": dict(_SWITCH, help="replace sampling with exact Poisson means")},
+    "plots": {"--plots": dict(_SWITCH, help="also emit static bar-chart vector graphics")},
+    "targets": {"--targets": dict(metavar="T2,T3,T4", help="three target mean fidelities")},
+    "budget": {"--budget": dict(type=int, help="cap on pipeline evaluations, Jacobian ones included")},
+    "out": {"--out": dict(help="output directory")},
 }
 
 
 def run_experiment(config: RunConfig) -> dict:
     """Dispatch a configured run; returns the runner's result payload."""
-    runner, _ = EXPERIMENTS[config.experiment]
+    runner, _, _ = EXPERIMENTS[config.experiment]
     return runner(config)
 
 
@@ -700,7 +729,7 @@ def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(values) - set(RunConfig(experiment).to_dict()))
         if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
+            raise ConfigError(f"config keys {unknown} are not settings of {experiment}")
         named = values.pop("experiment", experiment)
         if named != experiment:
             raise ConfigError(f"config experiment {named!r} is not the subcommand {experiment!r}")
@@ -713,33 +742,6 @@ def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
     return RunConfig(experiment, **given)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    noise_group = parser.add_mutually_exclusive_group()
-    noise_group.add_argument(
-        "--noise",
-        metavar="V_NC,V_CC,V_CT",
-        help="visibilities: non-classical, classical control, classical target",
-    )
-    noise_group.add_argument(
-        "--ideal",
-        action="store_const",
-        const="ideal",
-        dest="noise",
-        help="run the perfect gate instead of a noise model",
-    )
-    parser.add_argument("--shots", type=int, help="coincidences per analyzer setting")
-    parser.add_argument("--seed", type=int, help="run seed; every cell derives its own stream")
-    parser.add_argument("--scheme", choices=(MINIMAL, OVERCOMPLETE), help="tomography settings set")
-    parser.add_argument("--out", help="output directory")
-    # a switch that was not given reads None, as every other unset flag does
-    for flag, text in (
-        ("--exact", "replace sampling with exact Poisson means"),
-        ("--plots", "also emit static bar-chart vector graphics"),
-    ):
-        parser.add_argument(flag, action="store_true", default=None, help=text)
-    parser.add_argument("--config", help="JSON file mirroring the run configuration")
-
-
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: each parse_args returns a fresh namespace."""
@@ -748,17 +750,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Photonic parity-code experiments: encoding, tomography, decoding.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (_, description) in EXPERIMENTS.items():
+    for name, (_, description, reads) in EXPERIMENTS.items():
         sp = sub.add_parser(name, help=description)
-        _add_common_flags(sp)
-        if name == "calibrate":
-            sp.add_argument("--targets", metavar="T2,T3,T4", help="three target mean fidelities")
-            sp.add_argument(
-                "--budget",
-                type=int,
-                help="pipeline evaluation budget of the least-squares fit, Jacobian "
-                "evaluations included (a solver step costs at most 4)",
-            )
+        for key in (*reads, "out"):
+            group = sp.add_mutually_exclusive_group()
+            for flag, options in _FLAGS[key].items():
+                group.add_argument(flag, dest=key, **options)
+        sp.add_argument("--config", help="JSON file mirroring the run configuration")
     return parser
 
 

@@ -229,7 +229,9 @@ def _matrix_to_dict(matrix: np.ndarray) -> dict:
 def density_matrix_from_dict(data: dict) -> DensityMatrix:
     if not isinstance(data, dict) or not {"num_qubits", "re", "im"} <= data.keys():
         raise ValueError("density-matrix data needs the keys num_qubits, re and im")
-    n = int(data["num_qubits"])
+    n = data["num_qubits"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"num_qubits must be a positive integer; got {n!r}")
     dim = 2**n
     mat = (np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)).reshape(dim, dim)
     return DensityMatrix(n, mat)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,9 +86,11 @@ class TestConfig:
     def test_to_dict_embeds_resolved_noise(self):
         d = RunConfig("fig2", noise=NoiseModel(0.5, 0.6, 0.7)).to_dict()
         assert d["noise"]["v_nonclassical"] == 0.5
-        # every experiment writes its resolved gate, whether it runs one or not
-        assert RunConfig("teleport").to_dict()["noise"] == load_default_noise().to_dict()
-        assert RunConfig("calibrate", noise=None).to_dict()["noise"] == "ideal"
+        assert RunConfig("fig4").to_dict()["noise"] == load_default_noise().to_dict()
+        assert RunConfig("table1", noise=None).to_dict()["noise"] == "ideal"
+        # an experiment that runs no gate writes no gate
+        assert "noise" not in RunConfig("teleport").to_dict()
+        assert "noise" not in RunConfig("calibrate", noise=None).to_dict()
 
     def test_config_file_merging(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -134,11 +137,12 @@ class TestConfig:
     def test_flag_and_file_give_one_config_and_the_flag_wins(
         self, tmp_path, key, flags, value, other
     ):
-        by_flag = _built(tmp_path, "calibrate", flags)
-        assert by_flag != RunConfig("calibrate")
-        assert _built(tmp_path, "calibrate", [], {key: value}) == by_flag
-        assert _built(tmp_path, "calibrate", [], {key: other}) != by_flag
-        assert _built(tmp_path, "calibrate", flags, {key: other}) == by_flag
+        experiment = READER[key]
+        by_flag = _built(tmp_path, experiment, flags)
+        assert by_flag != RunConfig(experiment)
+        assert _built(tmp_path, experiment, [], {key: value}) == by_flag
+        assert _built(tmp_path, experiment, [], {key: other}) != by_flag
+        assert _built(tmp_path, experiment, flags, {key: other}) == by_flag
 
     @pytest.mark.parametrize(
         "flags,file_values", [(["--ideal"], None), (["--noise", "ideal"], None), ([], {"noise": "ideal"})]
@@ -148,8 +152,31 @@ class TestConfig:
 
     def test_a_configuration_header_is_a_config_file(self, tmp_path):
         # the embedded configuration, experiment key included, reads back as the same run
-        config = RunConfig("table1", shots=300, seed=4, out_dir=Path("res"))
-        assert _built(tmp_path, "table1", [], config.to_dict()) == config
+        config = RunConfig("fig2", shots=300, seed=4, out_dir=Path("res"))
+        assert _built(tmp_path, "fig2", [], config.to_dict()) == config
+
+
+# the settings each experiment reads: its only flags besides --out and --config
+READS = {
+    "table1": {"noise"},
+    "fig2": {"noise", "shots", "seed", "scheme", "exact", "plots"},
+    "fig3": {"noise", "shots", "seed", "scheme", "exact", "plots"},
+    "fig4": {"noise", "shots", "seed", "scheme", "exact"},
+    "teleport": {"seed"},
+    "calibrate": {"targets", "budget"},
+}
+# a subcommand that reads each setting, so that its own checks judge a value
+READER = {
+    "noise": "table1",
+    "shots": "fig4",
+    "seed": "teleport",
+    "scheme": "fig4",
+    "out": "calibrate",
+    "exact": "fig2",
+    "plots": "fig3",
+    "targets": "calibrate",
+    "budget": "calibrate",
+}
 
 
 def _built(tmp_path, experiment, flags, file_values=None):
@@ -160,6 +187,12 @@ def _built(tmp_path, experiment, flags, file_values=None):
         cfg_file.write_text(json.dumps(file_values))
         argv += ["--config", str(cfg_file)]
     return build_config(experiment, _parse(argv))
+
+
+def _header(summary: Path) -> dict[str, str]:
+    """The configuration block of a summary file: key -> JSON text."""
+    lines = summary.read_text().splitlines()
+    return dict(line.strip().split(": ", 1) for line in lines[2 : lines.index("")])
 
 
 def _parse(argv):
@@ -454,7 +487,9 @@ class TestMain:
     def test_bad_config_values_fail_cleanly(self, tmp_path, capsys, values):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps(values))
-        code = main(["table1", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        # a misspelt key has no reader, so any subcommand rejects it
+        experiment = READER.get(next(iter(values)), "table1")
+        code = main([experiment, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -471,13 +506,13 @@ class TestMain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_config_file_scalars_are_used(self, tmp_path):
-        values = {"shots": 300, "seed": 4, "budget": 50, "exact": True, "plots": True}
-        values.update(out="res", scheme="overcomplete")
-        cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps(values))
-        cfg = build_config("calibrate", _parse(["calibrate", "--config", str(cfg_file)]))
-        resolved = cfg.to_dict()
-        assert {key: resolved[key] for key in values} == values
+        runs = {
+            "fig2": {"shots": 300, "seed": 4, "exact": True, "plots": True, "scheme": "overcomplete"},
+            "calibrate": {"budget": 50, "out": "res"},
+        }
+        for experiment, values in runs.items():
+            resolved = _built(tmp_path, experiment, [], values).to_dict()
+            assert {key: resolved[key] for key in values} == values
 
     def test_repeated_calls_do_not_leak_flags(self, tmp_path, capsys):
         assert main(["table1", "--ideal", "--out", str(tmp_path / "a")]) == 0
@@ -487,22 +522,68 @@ class TestMain:
         assert '  noise: "ideal"' in (tmp_path / "a" / "table1_summary.txt").read_text()
         assert f"  noise: {default}" in (tmp_path / "b" / "table1_summary.txt").read_text()
 
+    # a run of each subcommand with a setting it reads away from its default
+    HEADER_RUNS = {
+        "table1": ["--ideal"],
+        "fig2": ["--exact", "--plots"],
+        "fig3": ["--exact", "--seed", "3"],
+        "fig4": ["--exact", "--scheme", "overcomplete"],
+        "teleport": ["--seed", "3"],
+        "calibrate": ["--budget", "60"],
+    }
+
     @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
     def test_configuration_header_is_a_config_file(self, tmp_path, capsys, experiment):
         summary = tmp_path / "out" / f"{experiment}_summary.txt"
-
-        def header():
-            lines = summary.read_text().splitlines()
-            return lines[2 : lines.index("")]
-
-        assert main([experiment, "--exact", "--out", str(tmp_path / "out")]) == 0
-        first = header()
-        values = dict(line.strip().split(": ", 1) for line in first)
-        config = {key: json.loads(value) for key, value in values.items()}
+        argv = [experiment, *self.HEADER_RUNS[experiment], "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        first = _header(summary)
+        config = {key: json.loads(value) for key, value in first.items()}
         (tmp_path / "run.json").write_text(json.dumps(config))
         assert main([experiment, "--config", str(tmp_path / "run.json")]) == 0
-        assert header() == first
+        assert _header(summary) == first
         capsys.readouterr()
+
+    # per subcommand: a flag it does not read, and the same setting as a config key
+    UNREAD = {
+        "table1": (["--shots", "5"], {"shots": 5}),
+        "fig2": (["--budget", "50"], {"budget": 50}),
+        "fig3": (["--targets", "0.9,0.9,0.9"], {"targets": [0.9, 0.9, 0.9]}),
+        "fig4": (["--plots"], {"plots": True}),
+        "teleport": (["--exact"], {"exact": True}),
+        "calibrate": (["--seed", "1"], {"seed": 1}),
+    }
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_flags_header_and_file_keys_are_the_read_settings(self, tmp_path, capsys, experiment):
+        reads = READS[experiment]
+        with pytest.raises(SystemExit) as done:
+            main([experiment, "--help"])
+        assert done.value.code == 0
+        options = capsys.readouterr().out.split("options:")[1]
+        flags = set(re.findall(r"(?<![\w-])--[a-z]+", options)) - {"--help"}
+        spellings = {"--ideal"} if "noise" in reads else set()
+        assert flags == {f"--{key}" for key in reads} | spellings | {"--out", "--config"}
+
+        out = tmp_path / "out"
+        unread_flags, unread_values = self.UNREAD[experiment]
+        with pytest.raises(SystemExit) as done:
+            main([experiment, *unread_flags, "--out", str(out)])
+        assert done.value.code == 2
+        assert unread_flags[0] in capsys.readouterr().err
+        assert not out.exists()
+        (tmp_path / "run.json").write_text(json.dumps(unread_values))
+        assert main([experiment, "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(next(iter(unread_values))) in err
+        assert not out.exists()
+
+        fast = ["--exact"] if "exact" in reads else []
+        assert main([experiment, *fast, "--out", str(out)]) == 0
+        capsys.readouterr()
+        header = _header(out / f"{experiment}_summary.txt")
+        assert set(header) == {"experiment", "out"} | reads
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SAMPLED = ["--seed", "42", "--shots", "1000"]
 RUNS = {
-    "table1.csv": ["table1", *SAMPLED],
+    "table1.csv": ["table1"],
     "fig2.csv": ["fig2", *SAMPLED],
     "fig3.csv": ["fig3", *SAMPLED],
     "fig4.csv": ["fig4", "--exact"],

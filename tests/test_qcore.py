@@ -261,3 +261,8 @@ class TestSerialization:
             path.write_text(json.dumps({k: v for k, v in data.items() if k != key}))
             with pytest.raises(ValueError, match="num_qubits, re and im"):
                 load_density_matrix(path)
+        # and one whose num_qubits is not a positive integer
+        for bad in (-1, 0, 1.7, 1.0, True, "1", None):
+            path.write_text(json.dumps({**data, "num_qubits": bad}))
+            with pytest.raises(ValueError, match="num_qubits must be a positive integer"):
+                load_density_matrix(path)
