@@ -37,7 +37,6 @@ from .measure import MINIMAL, OVERCOMPLETE, _counts, tomo_settings, write_count_
 from .optics import PHI_FAMILY, THETA_FAMILY, prepare_input
 from .qcore import (
     PureState,
-    _check_density,
     _fidelity_batch,
     _save_matrix,
     kron,
@@ -259,12 +258,10 @@ def _encode_all(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
 
     The payload enters the target port with the control in |+>; None is the
     ideal gate (all visibilities 1). Returns (coincidence probabilities (22,),
-    encoded states (22, 4, 4)), validated as density matrices in one check.
+    encoded states (22, 4, 4)), density matrices as the channel is CP.
     """
     _, _, inputs, _ = _pipeline_inputs()
-    probs, encoded = _noisy_cnot_batch(inputs, NoiseModel.ideal() if noise is None else noise)
-    _check_density(encoded)
-    return probs, encoded
+    return _noisy_cnot_batch(inputs, NoiseModel.ideal() if noise is None else noise)
 
 
 def run_table1(config: RunConfig) -> dict:
@@ -284,7 +281,7 @@ def run_table1(config: RunConfig) -> dict:
 
 
 def _cell_counts(config: RunConfig, state: np.ndarray, settings, *key: int) -> list:
-    """A checked cell state's counts: exact means, or sampled from the cell's seed."""
+    """A cell state's counts: exact means, or sampled from the cell's seed."""
     seed = None if config.exact else _cell_seed(config.seed, *key)
     return _counts(state, settings, config.shots, seed)
 
@@ -507,11 +504,10 @@ def exact_pipeline_means(noise: NoiseModel | None) -> tuple[float, float, float]
     Tomography reconstructs exact probabilities exactly, so the sampled
     pipelines collapse to pure state algebra: encoded fidelity over the six
     reference inputs, decoded fidelity over their four Z decodings, and
-    decoded fidelity over the two 8-angle input sweeps.
-
-    All 22 inputs are encoded in one batched contraction (_encode_all) and
-    decoded by all four Z measurements at once (codec._decode_batch), and
-    each stack of fidelities is one qcore._fidelity_batch call.
+    decoded fidelity over the two 8-angle input sweeps. All 22 inputs are
+    encoded at once (_encode_all), decoded by all four Z measurements at once
+    (codec._decode_batch) and scored by qcore._fidelity_batch. Nothing is
+    validated: encoder and decoder are CP maps, so their outputs are states.
     """
     _, payloads, _, codes = _pipeline_inputs()
     encoded = _encode_all(noise)[1]
@@ -541,7 +537,7 @@ def calibrate_noise(
     total never exceeds the budget. A start stopped by that cap reports a
     warning, and so does a fit that stays more than 0.05 from any target.
     On a 2-core host, a fit to reachable targets took 16-24 evaluations and
-    12-15 ms; targets outside the reachable set run all eight starts, up to
+    6-8 ms; targets outside the reachable set run all eight starts, up to
     649 evaluations and 0.38 s over 100 random targets.
     """
     # imported here, the one solver call in this module, so that the other
@@ -743,8 +739,8 @@ def build_config(experiment: str, args: argparse.Namespace) -> RunConfig:
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once: each parse_args returns a fresh namespace."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="parityqec",
         description="Photonic parity-code experiments: encoding, tomography, decoding.",
@@ -757,11 +753,14 @@ def _build_parser() -> argparse.ArgumentParser:
             for flag, options in _FLAGS[key].items():
                 group.add_argument(flag, dest=key, **options)
         sp.add_argument("--config", help="JSON file mirroring the run configuration")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, subcommands = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # under the subcommand's usage, which names it and its flags
+        subcommands[args.experiment].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         config = build_config(args.experiment, args)
         result = run_experiment(config)

@@ -181,6 +181,9 @@ def _channel_terms() -> np.ndarray:
     So the channel is trilinear, and term [i, j] multiplies the monomial
     (1, v_cc, v_ct, v_cc v_ct)[i] * (1, v_nc)[j]. A superoperator acts on the
     row-major flattened density matrix: vec(A rho C^dag) = (A kron C*) vec(rho).
+    Trilinear, the channel is a nonnegative blend of its 8 cube-corner values,
+    where each (1 +- v)/2 is 0, 1 or 1/2 and v_nc picks B.B^dag or D.D^dag +
+    E.E^dag: sums of K rho K^dag maps. So it is completely positive on [0, 1]^3.
     """
     terms = np.zeros((4, 2, 16, 16), dtype=complex)
     for sc in (1, -1):

@@ -126,7 +126,7 @@ def _projector_stack(settings: tuple[MeasurementSetting, ...]) -> np.ndarray:
 def _counts(
     matrix: np.ndarray, settings, shots: int, seed: int | None = None
 ) -> list[CountRecord]:
-    """One count per setting for an already-validated state matrix.
+    """One count per setting for a density matrix held as a bare array.
 
     seed=None gives the exact Poisson means; otherwise record k is drawn from
     the substream SeedSequence(entropy=seed, spawn_key=(k,)).

@@ -35,17 +35,13 @@ def _as_complex_array(values, copy: bool = True) -> np.ndarray:
     return arr
 
 
-def _check_density(mats: np.ndarray) -> None:
-    """Raise ValueError unless every trailing (d, d) matrix is a density matrix.
-
-    Hermitian, unit trace and no eigenvalue below EIGENVALUE_FLOOR, within the
-    shared tolerances; a stack of matrices takes one batched eigvalsh.
-    """
-    if np.abs(mats - mats.conj().swapaxes(-1, -2)).max() > HERMITIAN_ATOL:
+def _check_density(mat: np.ndarray) -> None:
+    """Raise ValueError unless mat is a density matrix: DensityMatrix's check, the only one."""
+    if np.abs(mat - mat.conj().T).max() > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    if np.abs(mats.diagonal(0, -2, -1).sum(-1) - 1.0).max() > TRACE_ATOL:
+    if abs(np.trace(mat) - 1.0) > TRACE_ATOL:
         raise ValueError("matrix trace differs from 1 beyond tolerance")
-    if np.linalg.eigvalsh(mats).min() < EIGENVALUE_FLOOR:
+    if np.linalg.eigvalsh(mat).min() < EIGENVALUE_FLOOR:
         raise ValueError("matrix has a negative eigenvalue beyond tolerance")
 
 
@@ -100,7 +96,7 @@ class HermitianMatrix:
     """Hermitian unit-trace matrix that may fail positivity.
 
     Linear-inversion tomography under shot noise lands here; it only becomes a
-    DensityMatrix after a maximum-likelihood (or clamping) projection.
+    DensityMatrix after a maximum-likelihood projection.
     """
 
     num_qubits: int
@@ -242,7 +238,7 @@ def save_density_matrix(rho: DensityMatrix | HermitianMatrix, path) -> None:
 
 
 def _save_matrix(matrix: np.ndarray, path) -> None:
-    """Write a (d, d) matrix that a batch check has already validated."""
+    """Write a (d, d) density matrix held as a bare array."""
     with open(path, "w") as fh:
         json.dump(_matrix_to_dict(matrix), fh, indent=1)
         fh.write("\n")

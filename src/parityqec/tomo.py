@@ -61,10 +61,6 @@ class TomographyResult:
     # accepted log-likelihood value after every iteration, for monotonicity audits
     trajectory: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
-
 
 def _parse(counts: list[CountRecord]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(qubit number, counts, nominal shots, (k, d, d) projectors) of a count list."""
@@ -135,8 +131,6 @@ def _warm_start(projectors: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     # an eigenvalue that starts at zero could never grow
     blend = float(min(0.1, max(1e-12, -ew.min())))
     ew = np.clip(ew, 0.0, None)
-    if ew.sum() <= 0:
-        return np.eye(dim, dtype=complex) / dim
     rho0 = (ev * ew) @ ev.conj().T / ew.sum()
     return (1.0 - blend) * rho0 + blend * np.eye(dim) / dim
 
@@ -311,11 +305,6 @@ def mle(
     t = _unfactor(x)
     rho = s_inv_half @ (t @ t.conj().T) @ s_inv_half
     rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.real(np.trace(rho))
-    # clamp roundoff-scale negative eigenvalues so validation always passes
-    ew, ev = np.linalg.eigh(rho)
-    ew = np.clip(ew, 0.0, None)
-    rho = (ev * ew) @ ev.conj().T
     rho /= np.real(np.trace(rho))
 
     return TomographyResult(

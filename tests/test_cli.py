@@ -27,6 +27,7 @@ from parityqec.cli import (
 )
 from parityqec.cnotgate import NoiseModel
 from parityqec.measure import read_count_records
+from parityqec import qcore
 from parityqec.qcore import DensityMatrix, load_density_matrix
 
 from oracles import per_cell_pipeline_means
@@ -198,23 +199,33 @@ def _header(summary: Path) -> dict[str, str]:
 def _parse(argv):
     from parityqec.cli import _build_parser
 
-    return _build_parser().parse_args(argv)
+    return _build_parser()[0].parse_args(argv)
 
 
-@pytest.mark.parametrize("experiment,validations", [("table1", 0), ("fig2", 6), ("fig3", 6), ("fig4", 88)])
+@pytest.mark.parametrize(
+    "experiment,validations",
+    [("table1", 0), ("fig2", 6), ("fig3", 6), ("fig4", 88), ("calibrate", 0)],
+)
 def test_only_mle_outputs_are_validated(tmp_path, monkeypatch, experiment, validations):
-    # the runners write the states the batch checks passed; only mle wraps a DensityMatrix
+    # encoder and decoder are CP maps, so their outputs need no check: the
+    # one state check runs only where mle wraps its result in a DensityMatrix
     config = RunConfig(experiment, exact=True, out_dir=tmp_path)
-    calls = []
-    validate = DensityMatrix.__post_init__
+    wraps, checks = [], []
+    validate, check = DensityMatrix.__post_init__, qcore._check_density
 
     def counted(self):
-        calls.append(self.num_qubits)
+        wraps.append(self.num_qubits)
         validate(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    # in every package module, so a call from any module that imports the check counts
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parityqec."):
+            monkeypatch.setattr(
+                module, "_check_density", lambda m: checks.append(m) or check(m), raising=False
+            )
     run_experiment(config)
-    assert len(calls) == validations
+    assert len(wraps) == len(checks) == validations
 
 
 class TestTable1:
@@ -570,7 +581,9 @@ class TestMain:
         with pytest.raises(SystemExit) as done:
             main([experiment, *unread_flags, "--out", str(out)])
         assert done.value.code == 2
-        assert unread_flags[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: parityqec {experiment} ")
+        assert unread_flags[0] in err
         assert not out.exists()
         (tmp_path / "run.json").write_text(json.dumps(unread_values))
         assert main([experiment, "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2

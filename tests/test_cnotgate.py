@@ -1,5 +1,7 @@
 """Tests for the mode network, the ideal post-selected gate and its noise model."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from parityqec.cnotgate import (
     MODE_TARGET_V,
     NUM_MODES,
     TARGET_MODES,
+    _CHANNEL_TERMS,
     ModeNetwork,
     NoiseModel,
     _network_unitary,
@@ -251,6 +254,17 @@ def two_qubit_inputs(draw):
         g = g + np.eye(4)
         trace = np.real(np.trace(g @ g.conj().T))
     return DensityMatrix(2, g @ g.conj().T / trace)
+
+
+@pytest.mark.parametrize("v_nc,v_cc,v_ct", itertools.product((0.0, 1.0), repeat=3))
+def test_channel_is_completely_positive_at_every_cube_corner(v_nc, v_cc, v_ct):
+    # the channel is trilinear, so CP corners make it CP on the whole cube
+    monomials = np.outer([1.0, v_cc, v_ct, v_cc * v_ct], [1.0, v_nc])
+    superop = np.einsum("ij,ijab->ab", monomials, _CHANNEL_TERMS)
+    # Choi matrix: block (k, l) is the channel's image of |k><l|
+    choi = superop.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
+    np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-15)
+    assert np.linalg.eigvalsh(choi).min() >= -1e-14
 
 
 class TestNoisyCnotProperties:

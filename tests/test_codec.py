@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from parityqec.cnotgate import NoiseModel
+from parityqec.cnotgate import NoiseModel, _noisy_cnot_batch
 from parityqec.codec import (
     MAX_CODE_QUBITS,
     SAMPLED,
@@ -21,6 +21,7 @@ from parityqec.qcore import (
     DensityMatrix,
     ImpossibleOutcomeError,
     PureState,
+    conditional_state,
     fidelity,
     kron,
     pure_state,
@@ -166,6 +167,13 @@ class TestDecode:
         with pytest.raises(ImpossibleOutcomeError):
             decode(pure_state([1, 0, 0, 0]).density(), 2, 1)
 
+    def test_accepts_every_trace_a_density_matrix_accepts(self):
+        # DensityMatrix allows a trace up to 1 + TRACE_ATOL, so a decoded
+        # outcome may be that likely too
+        rho = DensityMatrix(2, np.diag([1 + 5e-11, 0, 0, 0]))
+        result = decode(rho, 1, 0)
+        assert result.probability == conditional_state(rho, 1, 0)[0] == 1 + 5e-11
+
     @pytest.mark.parametrize("correct", [False, True])
     @pytest.mark.parametrize("outcome", [0, 1])
     def test_validates_the_surviving_state_once(self, monkeypatch, outcome, correct):
@@ -269,6 +277,33 @@ class TestDecodeBatch:
     def test_impossible_outcome_raises(self):
         with pytest.raises(ImpossibleOutcomeError):
             _decode_batch(pure_state([1, 0, 0, 0]).density().matrix[None])
+
+
+_visibility = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def ranked_states(draw):
+    """A random 2-qubit density matrix of rank 1-4, G G^dag / Tr with G 4 x rank."""
+    g = _complex_array(draw, (4, draw(st.integers(1, 4))))
+    assume(np.linalg.norm(g) > 1e-3)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestPositivityByConstruction:
+    # encoder and decoder are CP maps, so nothing on the pipeline checks their
+    # outputs: pin that they stay positive at any visibilities and input rank
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(v=st.tuples(_visibility, _visibility, _visibility), rho=ranked_states())
+    def test_encoded_and_decoded_states_are_positive(self, v, rho):
+        _, encoded = _noisy_cnot_batch(rho[None], NoiseModel(*v))
+        assert np.linalg.eigvalsh(encoded).min() >= -1e-12
+        try:
+            _, decoded = _decode_batch(encoded)
+        except ImpossibleOutcomeError:
+            reject()  # an outcome the state never gives has no decoded state
+        assert np.linalg.eigvalsh(decoded).min() >= -1e-12
 
 
 class TestParityExtend:
