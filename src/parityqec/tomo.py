@@ -19,13 +19,16 @@ overcomplete Pauli scheme S is proportional to the identity and the
 objective reduces to the plain sum_k n_k log p_k.
 
 Positivity is built in by the factorization sigma = T T^dag / Tr(T T^dag)
-of James, Kwiat, Munro and White, PRA 64, 052312 (2001). They take T lower
-triangular; here T is a full square complex matrix, which needs about half
-the L-BFGS iterations on sampled two-qubit data. The unconstrained problem
-over T goes to scipy's L-BFGS with the analytic gradient
-2 (G - N I) T / Tr(T T^dag), where G = sum_k n_k T_k / p_k.
-The search starts from the positivity-projected linear-inversion estimate
-whenever the setting set supports one (the maximally mixed state otherwise).
+of James, Kwiat, Munro and White, PRA 64, 052312 (2001), with T a full
+square complex matrix. With x the interleaved (re, im) entries of T and R_k
+the real form of T_k (x) I, the objective is the sum of logs of quadratic
+forms f(x) = sum_k n_k log(x^T R_k x) - N log(x^T x), whose exact gradient
+and Hessian drive Levenberg-Marquardt steps. In T a rank-deficient optimum
+is a strict quadratic maximum (a column of T that should vanish has
+curvature -(N - lambda) < 0), so the steps converge in a few iterations
+where first-order methods crawl. The search starts from the
+positivity-projected linear-inversion estimate whenever the setting set
+supports one (the maximally mixed state otherwise).
 
 Convergence is certified, not inferred from small steps: the objective is
 concave in sigma, so the Frank-Wolfe duality gap lambda_max(G) - N bounds how
@@ -46,9 +49,13 @@ from .qcore import DensityMatrix, HermitianMatrix
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 PROB_LOG_FLOOR = 1e-12
-# relative rounding floor of the duality gap and of a restart's gain, per
-# count: about 1e-15 N nats for N total counts
+# relative rounding of a sum of count-weighted logs: about 1e-15 N nats
+# under the duality gap for N total counts, and under a step's gain 1e-15
+# of the summed magnitudes of its terms
 _GAP_ROUNDING = 1e-15
+# Levenberg-Marquardt damping mu, in units of the largest curvature: its
+# start, its floor after accepted steps, and the value that gives a step up
+_MU_START, _MU_MIN, _MU_STALL = 1e-3, 1e-12, 1e16
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +121,6 @@ def linear_inversion(counts: list[CountRecord]) -> HermitianMatrix:
     return HermitianMatrix(num_qubits, _invert(projectors, n / shots))
 
 
-def _log_likelihood(probs: np.ndarray, counts: np.ndarray) -> float:
-    return float(np.sum(counts * np.log(np.maximum(probs, PROB_LOG_FLOOR))))
-
-
 def _warm_start(projectors: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Positivity-projected linear inversion, or I/d when unavailable."""
     dim = projectors.shape[-1]
@@ -136,7 +139,7 @@ def _warm_start(projectors: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def _factor(sigma: np.ndarray) -> np.ndarray:
-    """Pack a square factor T with T T^dag = sigma into L-BFGS's real vector."""
+    """Pack a square factor T with T T^dag = sigma into a real vector."""
     ew, ev = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
     return (ev * np.sqrt(np.clip(ew, 0.0, None))).reshape(-1).view(np.float64).copy()
 
@@ -147,91 +150,100 @@ def _unfactor(x: np.ndarray) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
-def _gap_operator(design: np.ndarray, n: np.ndarray, q: np.ndarray, trace: float) -> np.ndarray:
-    """G - N*I at sigma = A / trace, where q_k = Tr(T_k A) and G = sum_k n_k T_k / p_k.
+def _gap(design: np.ndarray, n: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(Frank-Wolfe duality gap, log-likelihood) at sigma = T T^dag / Tr(T T^dag).
 
-    An n_k = 0 entry adds nothing, even where its probability vanishes, so
-    pure-state optima with zero-probability projectors certify cleanly.
+    The gap is lambda_max(G) - N with G = sum_k n_k T_k / p_k: how far, at
+    most, the log-likelihood is below its maximum. An n_k = 0 entry adds
+    nothing, even where its probability vanishes, so pure-state optima with
+    zero-probability projectors certify cleanly.
     """
-    probs = np.maximum(q / trace, PROB_LOG_FLOOR)
-    g_op = ((n / probs - n.sum()) @ design).view(complex)
-    dim = isqrt(g_op.size)
-    return g_op.reshape(dim, dim)
+    t = _unfactor(x)
+    a = t @ t.conj().T
+    # Tr(T_k A) for Hermitian A is the real dot product of the interleaved
+    # (re, im) parts of T_k and A, so all probabilities are one matrix product
+    probs = np.maximum(design @ a.reshape(-1).view(np.float64) / np.real(np.trace(a)), PROB_LOG_FLOOR)
+    g_op = ((n / probs - n.sum()) @ design).view(complex).reshape(t.shape)
+    gap = float(np.linalg.eigvalsh(0.5 * (g_op + g_op.conj().T))[-1])
+    return gap, float(np.sum(n * np.log(probs)))
 
 
-def _duality_gap(g_op: np.ndarray) -> float:
-    """lambda_max(G) - N: how far, at most, the log-likelihood is below its maximum."""
-    return float(np.linalg.eigvalsh(0.5 * (g_op + g_op.conj().T))[-1])
+def _real_forms(operators: np.ndarray) -> np.ndarray:
+    """(k, 2 d^2, 2 d^2) real symmetric R_k with x^T R_k x = Tr(T_k T T^dag).
+
+    x holds the interleaved (re, im) entries of the square factor T, so R_k
+    is the real form of T_k (x) I acting on the row-major vec(T).
+    """
+    k, dim, _ = operators.shape
+    m = np.kron(operators, np.eye(dim))
+    real = np.empty((k, 2 * dim * dim, 2 * dim * dim))
+    real[:, 0::2, 0::2] = real[:, 1::2, 1::2] = m.real
+    real[:, 1::2, 0::2] = m.imag
+    real[:, 0::2, 1::2] = -m.imag
+    return real
 
 
-def _ascend(
-    design: np.ndarray, n: np.ndarray, x_ref: np.ndarray, tol: float, budget: int
+def _derivatives(real: np.ndarray, counts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(R_k x, x^T R_k x, gradient, Hessian) of f(x) = sum_k n_k log(x^T R_k x) - N log(x^T x)."""
+    total = counts.sum()
+    r = real @ x
+    q = r @ x
+    s = x @ x
+    w = counts / q
+    grad = 2.0 * (w @ r - (total / s) * x)
+    hess = 2.0 * (np.tensordot(w, real, 1) - (total / s) * np.eye(x.size))
+    hess -= 4.0 * ((r.T * (w / q)) @ r - (total / s**2) * np.outer(x, x))
+    return r, q, grad, hess
+
+
+def _levenberg_marquardt(
+    transformed: np.ndarray, design: np.ndarray, n: np.ndarray, x: np.ndarray, tol: float, budget: int
 ) -> list[tuple[np.ndarray, float, float]]:
-    """One L-BFGS run from x_ref: (x, log-likelihood gain, gap) per accepted step.
+    """Levenberg-Marquardt ascent of f from x: (x, log-likelihood gain, gap) per step.
 
-    The objective is the log-likelihood change from x_ref, formed from the
-    change of T rather than as the difference of two large sums, so the line
-    search still sees steps far below the rounding of the full log-likelihood.
-    The run ends at a certified step, at the budget, or when the line search
-    can make no further progress.
+    Each step shifts -H by mu * max|lambda|, raising mu tenfold until the
+    shifted model is positive definite and its step gains (Nocedal and
+    Wright, Numerical Optimization, ch. 10); an accepted step lowers mu
+    tenfold for the next one. One eigvalsh per step gives the spectrum's
+    ends, and the step is one linear solve: an eigendecomposition with
+    vectors goes through multithreaded BLAS at this size, and waking its
+    threads can cost more than the whole step. The gain is formed from the
+    change of the quadratic forms, not as the difference of two large sums,
+    so steps far below the rounding of the full log-likelihood are still
+    seen. The ascent ends at a certified step, at the budget, or when no
+    step gains more than the rounding of the terms that form its gain.
     """
     observed = n > 0
     counts = n[observed]
-    total = float(n.sum())
-    t_ref = _unfactor(x_ref)
-    a_ref = t_ref @ t_ref.conj().T
-    q_ref = design @ a_ref.reshape(-1).view(np.float64)
-    trace_ref = float(np.real(np.trace(a_ref)))
+    total = counts.sum()
+    real = _real_forms(transformed[observed])
+    eye = np.eye(x.size)
+    mu = _MU_START
     steps = []
-    latest = {}
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        t = _unfactor(x)
-        d = t - t_ref
-        da = d @ t_ref.conj().T
-        da = da + da.conj().T + d @ d.conj().T
-        dq = design @ da.reshape(-1).view(np.float64)
-        d_trace = float(np.real(np.trace(da)))
-        # keeps log1p finite where a trial step empties an observed projector
-        rel = np.maximum(dq[observed] / q_ref[observed], PROB_LOG_FLOOR - 1.0)
-        gain = float(np.sum(counts * np.log1p(rel))) - total * np.log1p(d_trace / trace_ref)
-        trace = trace_ref + d_trace
-        g_op = _gap_operator(design, n, q_ref + dq, trace)
-        latest.update(x=x.copy(), gain=gain, g_op=g_op)
-        grad = (-2.0 / trace) * (g_op @ t)
-        return -gain, grad.reshape(-1).view(np.float64)
-
-    def callback(intermediate_result) -> None:
-        # the accepted step is the line search's last evaluation
-        if not np.array_equal(intermediate_result.x, latest["x"]):
-            objective(intermediate_result.x)
-        gap = _duality_gap(latest["g_op"])
-        steps.append((latest["x"], latest["gain"], gap))
+    while len(steps) < budget:
+        r, q, grad, hess = _derivatives(real, counts, x)
+        lam = np.linalg.eigvalsh(-hess)
+        scale = max(-lam[0], lam[-1])
+        while mu < _MU_STALL:
+            if lam[0] + mu * scale > 0.0:
+                step = np.linalg.solve((mu * scale) * eye - hess, grad)
+                dq = 2.0 * (r @ step) + (real @ step) @ step
+                # keeps log1p finite where a trial step empties an observed projector
+                rel = np.maximum(dq / q, PROB_LOG_FLOOR - 1.0)
+                terms = np.append(counts * np.log1p(rel), -total * np.log1p((2.0 * x + step) @ step / (x @ x)))
+                gain = float(terms.sum())
+                # a gain within the rounding of the terms that form it is no gain
+                if gain > _GAP_ROUNDING * np.abs(terms).sum():
+                    break
+            mu *= 10.0
+        else:
+            break
+        mu = max(mu / 10.0, _MU_MIN)
+        x = x + step
+        gap = _gap(design, n, x)[0]
+        steps.append((x, gain, gap))
         if gap <= tol:
-            raise StopIteration
-
-    # imported here, not at module level, so that runs whose cells are all
-    # certified at the warm start never load scipy
-    from scipy.optimize import minimize
-
-    minimize(
-        objective,
-        x_ref,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        # full curvature memory, as T has only 2 d^2 real parameters; scipy's
-        # own tests are off, so only a stalled line search stops the run
-        # early; a line search makes at most 20 evaluations, so maxfun never
-        # binds before maxiter
-        options={
-            "maxiter": budget,
-            "maxcor": x_ref.size,
-            "maxfun": 50 * budget,
-            "ftol": 0.0,
-            "gtol": 0.0,
-        },
-    )
+            break
     return steps
 
 
@@ -243,24 +255,24 @@ def mle(
     """Maximum-likelihood reconstruction with a certified likelihood gap.
 
     Maximizes the Poisson profile likelihood over sigma = T T^dag / Tr(T T^dag)
-    in the whitened frame, by L-BFGS on the real and imaginary parts of the
-    square factor T with the analytic gradient, from the positivity-projected
-    linear inversion. When the line search stalls, L-BFGS restarts from the
-    stalled point.
+    in the whitened frame, by Levenberg-Marquardt steps on the real and
+    imaginary parts of the square factor T with the exact gradient and
+    Hessian, from the positivity-projected linear inversion.
 
     - tol: bound in nats on the Frank-Wolfe duality gap lambda_max(G) - N,
       with G = sum_k n_k T_k / p_k. The objective is concave in sigma, so the
       gap bounds how far the log-likelihood is below its maximum. Rounding
-      puts a floor of about 1e-15 * N under the computed gap, so count
-      totals N far above 1e8 need a larger tol. Restarts end once one gains
-      less than that floor, with converged=False if the gap is still above
-      tol.
-    - iterations: accepted L-BFGS steps over all restarts, at most max_iter;
-      0 when the warm start already meets tol.
-    - converged: whether the gap of the returned state is at most tol. It is
-      the certificate alone, not the optimizer's own stopping status.
+      puts a floor of about 1e-15 * N under the computed gap, so no tol
+      below that floor is ever certified: the best state found comes back
+      with converged=False once no step's gain rises above rounding. Count
+      totals N far above 1e8 need a larger tol.
+    - iterations: accepted Levenberg-Marquardt steps, at most max_iter; 0
+      when the warm start already meets tol. There is no restart.
+    - converged: whether the gap of the returned state is at most tol, and
+      tol is at least the rounding floor. It is the certificate alone, not
+      the solver's own stopping status.
     - trajectory: the log-likelihood at the start and after every accepted
-      step. The line search accepts only steps that raise it.
+      step. A step is accepted only if it raises it.
 
     The reported log_likelihood is the Poisson profile objective (equal, up
     to a constant, to sum n_k log p_k for identity-resolving schemes).
@@ -277,30 +289,14 @@ def mle(
     s_inv_half = (ev / np.sqrt(ew)) @ ev.conj().T
     s_half = (ev * np.sqrt(ew)) @ ev.conj().T
     transformed = np.einsum("ab,kbc,cd->kad", s_inv_half, projectors, s_inv_half)
-    # Tr(T_k A) for Hermitian A is the real dot product of the interleaved
-    # (re, im) parts of T_k and A, so all probabilities are one matrix product
     design = np.ascontiguousarray(transformed).reshape(len(counts), -1).view(np.float64)
 
     x = _factor(s_half @ _warm_start(raw, n / shots) @ s_half)
-    t = _unfactor(x)
-    a = t @ t.conj().T
-    q = design @ a.reshape(-1).view(np.float64)
-    trace = float(np.real(np.trace(a)))
-    trajectory = [_log_likelihood(q / trace, n)]
-    converged = _duality_gap(_gap_operator(design, n, q, trace)) <= tol
-    iterations = 0
-    while not converged and iterations < max_iter:
-        steps = _ascend(design, n, x, tol, max_iter - iterations)
-        if not steps:
-            break
-        base = trajectory[-1]
-        trajectory += [base + gain for _, gain, _ in steps]
-        x, gain, gap = steps[-1]
-        iterations += len(steps)
-        converged = gap <= tol
-        if gain < _GAP_ROUNDING * n.sum():
-            # the restart is lost in rounding: a tol below the floor cannot be met
-            break
+    gap, log_likelihood = _gap(design, n, x)
+    trajectory = [log_likelihood]
+    if gap > tol:
+        for x, gain, gap in _levenberg_marquardt(transformed, design, n, x, tol, max_iter):
+            trajectory.append(trajectory[-1] + gain)
 
     t = _unfactor(x)
     rho = s_inv_half @ (t @ t.conj().T) @ s_inv_half
@@ -310,8 +306,8 @@ def mle(
     return TomographyResult(
         rho=DensityMatrix(num_qubits, rho),
         log_likelihood=trajectory[-1],
-        iterations=iterations,
-        converged=converged,
+        iterations=len(trajectory) - 1,
+        converged=bool(gap <= tol and tol >= _GAP_ROUNDING * n.sum()),
         scheme=_infer_scheme(counts, num_qubits),
         trajectory=tuple(trajectory),
     )

@@ -1,10 +1,14 @@
 """Tests for linear inversion and maximum-likelihood reconstruction."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from parityqec.cli import REFERENCE_INPUTS, main
+from parityqec.codec import encode
 from parityqec.measure import (
     MINIMAL,
     OVERCOMPLETE,
@@ -178,25 +182,31 @@ class TestMle:
         assert isinstance(result, TomographyResult)
         assert result.iterations <= 3
 
-    def test_sub_floor_tol_fails_fast(self, monkeypatch):
+    def test_sub_floor_tol_fails_fast(self):
         # at 1e6 shots per setting the gap's rounding floor is about
-        # 1e-15 * 1.6e7 = 1.6e-8 nats, so tol = 1e-13 cannot be certified
-        restarts = []
-        ascend = tomo._ascend
-
-        def counted(*args, **kwargs):
-            restarts.append(None)
-            return ascend(*args, **kwargs)
-
-        monkeypatch.setattr(tomo, "_ascend", counted)
+        # 1e-15 * 3.6e6 = 3.6e-9 nats, so tol = 1e-13 cannot be certified
         rng = np.random.default_rng(5)
         psi = random_pure(2, rng)
         counts = simulate_counts(psi.density(), tomo_settings(2, MINIMAL), 10**6, seed=1)
         result = mle(counts, tol=1e-13)
         assert not result.converged
-        assert len(restarts) <= 3
-        assert result.iterations <= tomo.DEFAULT_MAX_ITER // 20
+        assert result.iterations <= 50
         assert fidelity(result.rho, psi) >= 0.99
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-13, 1e-9])
+    def test_no_tol_below_the_rounding_floor_is_certified(self, tol):
+        # the computed gap can read at or below such a tol while the
+        # recomputed one does not: below the floor neither can be trusted
+        rng = np.random.default_rng(5)
+        for seed in range(1, 13):
+            psi = random_pure(2, rng)
+            counts = simulate_counts(psi.density(), tomo_settings(2, MINIMAL), 10**6, seed=seed)
+            assert tol < tomo._GAP_ROUNDING * sum(rec.count for rec in counts)
+            result = mle(counts, tol=tol)
+            assert not result.converged
+            assert result.iterations <= 50
+            assert fidelity(result.rho, psi) >= 0.99
+            assert mle(counts).converged
 
     def test_empty_and_all_zero_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -305,3 +315,81 @@ class TestMleProperties:
         certifies = recomputed_gap(warm.rho, counts) <= GAP_TOL
         assert warm.iterations == 0 and warm.converged == certifies
         assert (mle(counts, tol=GAP_TOL).iterations == 0) == certifies
+
+
+def central_differences(fun, x, h):
+    """d fun / d x_i by central differences, one row per coordinate."""
+    return np.array([(fun(x + h * e) - fun(x - h * e)) / (2 * h) for e in np.eye(x.size)])
+
+
+class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_derivatives_match_central_differences(self, num_qubits):
+        rng = np.random.default_rng(40 + num_qubits)
+        dim = 2**num_qubits
+        operators = np.stack([setting_projector(s) for s in tomo_settings(num_qubits, OVERCOMPLETE)])
+        counts = rng.integers(1, 200, size=len(operators)).astype(float)
+
+        def objective(x):
+            t = x.view(complex).reshape(dim, dim)
+            a = t @ t.conj().T
+            q = np.einsum("kij,ji->k", operators, a).real
+            return counts @ np.log(q) - counts.sum() * np.log(np.trace(a).real)
+
+        real = tomo._real_forms(operators)
+        for _ in range(3):
+            x = rng.normal(size=2 * dim * dim)
+            r, q, grad, hess = tomo._derivatives(real, counts, x)
+            t = x.view(complex).reshape(dim, dim)
+            np.testing.assert_allclose(q, np.einsum("kij,ji->k", operators, t @ t.conj().T).real, rtol=1e-12)
+            np.testing.assert_allclose(r @ x, q, rtol=1e-12)
+            scale = np.abs(grad).max()
+            np.testing.assert_allclose(grad, central_differences(objective, x, 1e-6), rtol=0, atol=1e-6 * scale)
+            fd_hess = central_differences(lambda y: tomo._derivatives(real, counts, y)[2], x, 1e-6)
+            np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12 * np.abs(hess).max())
+            np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-6 * np.abs(hess).max())
+
+    @pytest.mark.parametrize("scheme", [MINIMAL, OVERCOMPLETE])
+    def test_every_fig2_cell_is_certified_at_seed_42_and_1000_shots(self, tmp_path, scheme):
+        # cells on which an accelerated projected-gradient ascent stalls uncertified
+        argv = ["fig2", "--seed", "42", "--shots", "1000", "--scheme", scheme, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        with open(tmp_path / "fig2.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 6
+        assert all(row["converged"] == "true" for row in rows)
+
+    def test_criterion_5_runs_reach_no_cap(self):
+        settings_list = tomo_settings(2, MINIMAL)
+        states = [encode(psi)[1] for _, psi in REFERENCE_INPUTS]
+        results = [mle(expected_counts(rho, settings_list, 10_000)) for rho in states]
+        for idx, rho in enumerate(states):
+            for seed in range(100):
+                results.append(mle(simulate_counts(rho, settings_list, 10_000, seed=1000 * idx + seed)))
+        assert len(results) == 606
+        assert all(result.converged for result in results)
+        assert max(result.iterations for result in results) <= 50
+
+    def test_a_cell_the_warm_start_certifies_builds_no_real_forms(self, monkeypatch):
+        calls = []
+        real_forms = tomo._real_forms
+
+        def counted(operators):
+            calls.append(len(operators))
+            return real_forms(operators)
+
+        monkeypatch.setattr(tomo, "_real_forms", counted)
+        rng = np.random.default_rng(7)
+        for num_qubits in (1, 2):
+            for scheme in (MINIMAL, OVERCOMPLETE):
+                dim = 2**num_qubits
+                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                mixed = DensityMatrix(num_qubits, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+                for rho in (mixed, random_pure(num_qubits, rng).density()):
+                    result = mle(expected_counts(rho, tomo_settings(num_qubits, scheme), 10_000))
+                    assert result.converged and result.iterations == 0
+        assert calls == []
+        # the positive control: a sampled cell that takes steps builds them once
+        counts = simulate_counts(BELL.density(), tomo_settings(2, MINIMAL), 1000, seed=3)
+        assert mle(counts).iterations > 0
+        assert len(calls) == 1
